@@ -89,7 +89,10 @@ class StagePipeline:
         self.differ = differ
         self.name = name
         self._incremental: IncrementalScheduler | None = None
-        if incremental and isinstance(packer, PackingHeuristic):
+        stock = isinstance(packer, PackingHeuristic)
+        #: Incremental was asked for but this packer cannot keep the index.
+        self._non_stock_packer = incremental and not stock
+        if incremental and stock:
             self._incremental = IncrementalScheduler(
                 packer, differ, dirty_node_threshold=dirty_node_threshold
             )
@@ -114,6 +117,12 @@ class StagePipeline:
             # state; it reports its own fast/full mode (see core.incremental).
             with obs.tracer().span("pack", mode="incremental"):
                 return self._incremental.schedule(state, plan)
+        if self._non_stock_packer:
+            registry = obs.registry()
+            if registry.enabled:
+                registry.counter(
+                    "engine.incremental.full_rounds", reason="non_stock_packer"
+                ).inc()
         working = state.copy(share_nodes=True)
         tracer = obs.tracer()
         with tracer.span("pack"):

@@ -6,8 +6,24 @@ for eviction, and rebuilds the packing node index from scratch
 (O(nodes log nodes)).  :class:`IncrementalScheduler` replaces that with a
 **persistent scratch state** and a **persistent node index** that are
 realigned with the live state each round using the dirty set the live state
-accumulated (:meth:`repro.cluster.state.ClusterState.drain_dirty`), making
-the round cost O(replicas + containers + dirty nodes · log nodes).
+accumulated (:meth:`repro.cluster.state.ClusterState.drain_dirty`).
+
+Round cost.  With R assigned replicas, C activated containers, D dirty
+nodes, U entries the pack refuses and E epoch changes during the pack
+(placements, migrations, victim deletions), a fast round costs
+
+    O(R + C + D · log nodes + U · F + E · W)
+
+where F is the size of the packer's refusal frontier (a handful of
+``(cpu, memory, rank)`` triples; see :class:`repro.core.packing._DeadEnds`)
+and W one repack walk (8 candidates × their residents × one best-fit).  A
+refused entry used to cost W on its own, which on a cluster in a capacity
+crunch — thousands of refusals, almost all at one epoch — was most of the
+round.  What is still O(R) or O(C) every round, crunch or not:
+``plan.activated_set()`` and the not-activated scan over the assignment map
+in ``pack_onto``, the ``resync_from`` clone of that map, the final
+``assignments_snapshot`` and ``diff_actions``.  Those wait for a pack that
+restarts from the first rank whose inputs changed.
 
 Byte-identity
 -------------
@@ -30,24 +46,34 @@ the classic path is already pinned to).  The argument:
    ``(free cpu, name, free memory)`` entries a fresh build would contain.
    Its block layout differs, but both ``best_fit`` and
    ``nodes_by_free_desc`` scan entries in globally sorted order, so the
-   layout is unobservable.
+   layout is unobservable.  Every node that changed on either side goes
+   through ``_NodeIndex.refresh``, which advances the index epoch even when
+   the free pair comes out equal, so the one packer memo that outlives a
+   round (the *idle* repack epoch) can only survive a round in which no
+   indexed node's usage or residents changed; the refusal frontier and the
+   victim index are rank-relative and are rebuilt by every pack.
 5. With an equivalent state and an equivalent index, the pack runs the very
    same code (:meth:`repro.core.packing.PackingHeuristic.pack_onto`), and
    the differ is a pure function of (live state, packing).
 
 Fallback conditions (the round runs the classic full recompute, which also
-re-seeds the scratch):
+re-seeds the scratch).  The ``reason=`` label is what
+``engine.incremental.full_rounds`` is counted under and what
+:attr:`IncrementalScheduler.last_full_reason` reports:
 
-============================  ==================================================
-condition                      reason
-============================  ==================================================
-first round / new state        nothing to reuse yet
-``invalidate()`` called        forced full recompute (``reconcile(force=True)``)
-structural dirty               nodes/applications added or removed
-drain token mismatch           another consumer drained the dirty set
-dirty nodes > threshold        rebuilding is cheaper than resyncing
-non-stock packer               only :class:`PackingHeuristic` maintains the index
-============================  ==================================================
+============================  ====================  ==============================================
+condition                      ``reason=``           why
+============================  ====================  ==============================================
+first round / new state        ``new_state``         nothing to reuse yet (a state is adopted
+                                                     once it is seen on two consecutive rounds)
+``invalidate()`` called        ``invalidated``       forced full recompute (``reconcile(force=True)``)
+structural dirty               ``structural``        nodes/applications added or removed
+drain token mismatch           ``token_mismatch``    another consumer drained the dirty set
+dirty nodes > threshold        ``dirty_threshold``   rebuilding is cheaper than resyncing
+non-stock packer               ``non_stock_packer``  only :class:`PackingHeuristic` maintains the
+                                                     index (counted by ``StagePipeline``, which
+                                                     never builds an ``IncrementalScheduler``)
+============================  ====================  ==============================================
 """
 
 from __future__ import annotations
@@ -115,9 +141,17 @@ class IncrementalScheduler:
         self.fast_rounds = 0
         self.full_rounds = 0
         self.last_mode = "none"
+        #: Why the most recent full round was one (a ``reason=`` label of
+        #: the module's fallback table), or ``None`` before the first.
+        self.last_full_reason: str | None = None
+        self._invalidated = False
 
     def invalidate(self) -> None:
         """Drop the scratch so the next round is a full recompute."""
+        self._drop_scratch()
+        self._invalidated = True
+
+    def _drop_scratch(self) -> None:
         self._tracked = None
         self._token = -1
         self._scratch = None
@@ -127,17 +161,20 @@ class IncrementalScheduler:
         """One schedule round; incremental when the scratch is reusable."""
         tracked = self._tracked() if self._tracked is not None else None
         if self._tracked is not None and tracked is None:
-            self.invalidate()  # the tracked state died: free scratch + index
+            self._drop_scratch()  # the tracked state died: free scratch + index
         try:
+            reason = "invalidated" if self._invalidated else "new_state"
+            self._invalidated = False
             if self._scratch is not None and tracked is state:
-                schedule = self._fast_schedule(state, plan)
-                if schedule is not None:
+                outcome = self._fast_schedule(state, plan)
+                if not isinstance(outcome, str):
                     self.fast_rounds += 1
                     self.last_mode = "incremental"
                     registry = obs.registry()
                     if registry.enabled:
                         registry.counter("engine.incremental.fast_rounds").inc()
-                    return schedule
+                    return outcome
+                reason = outcome
             # Seed (or re-seed) the scratch only for states that have shown
             # reuse potential: the tracked state itself, or a state seen on
             # two consecutive rounds (a reconcile loop to adopt).  One-shot
@@ -149,9 +186,10 @@ class IncrementalScheduler:
             )
             self.full_rounds += 1
             self.last_mode = "full"
+            self.last_full_reason = reason
             registry = obs.registry()
             if registry.enabled:
-                registry.counter("engine.incremental.full_rounds").inc()
+                registry.counter("engine.incremental.full_rounds", reason=reason).inc()
             return self._full_schedule(state, plan, retain)
         finally:
             self._last_seen = weakref.ref(state)
@@ -176,17 +214,19 @@ class IncrementalScheduler:
             unplaced=packing.unplaced,
         )
 
-    def _fast_schedule(self, live: ClusterState, plan: ActivationPlan) -> SchedulePlan | None:
-        """Incremental round, or ``None`` when a fallback condition holds."""
+    def _fast_schedule(self, live: ClusterState, plan: ActivationPlan) -> SchedulePlan | str:
+        """Incremental round, or the ``reason=`` label of the fallback that holds."""
         dirty = live.drain_dirty()
-        if dirty.structural or dirty.base_generation != self._token:
-            return None
+        if dirty.structural:
+            return "structural"
+        if dirty.base_generation != self._token:
+            return "token_mismatch"
         scratch = self._scratch
         own = scratch.drain_dirty()
         dirty_nodes = set(dirty.nodes)
         dirty_nodes.update(own.nodes)
         if len(dirty_nodes) > self._threshold * len(live.nodes):
-            return None
+            return "dirty_threshold"
 
         # Realign the scratch with the live state: exact assignment-map
         # clone, per-node floats copied for everything that changed on

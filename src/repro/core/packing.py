@@ -25,10 +25,20 @@ Scalability notes (100k-node hot path):
   scan, no linear fallback.
 * :class:`_VictimIndex` keeps the delete-lower-ranks victim order (rank
   descending, assignment order within a rank) incrementally, instead of
-  re-sorting every assignment on each unplaced container.
+  re-sorting every assignment on each unplaced container.  It is lazy twice
+  over: an upper bound on the highest running rank answers "no victim
+  outranks the asker" without touching an assignment, and when a victim can
+  exist only replicas ranked above the asker are bucketed.
+* Dead ends are proven once.  :class:`_NodeIndex` carries a mutation
+  **epoch**; a refused placement leaves the epoch where it found it, so in
+  a capacity crunch thousands of refusals share one epoch.  A repack walk
+  that migrated nothing marks the epoch *idle* (later walks only re-check
+  the candidates' free capacity), and :class:`_DeadEnds` remembers which
+  ``(cpu, memory, rank)`` demands were refused at the epoch so that any
+  entry at least as demanding and no better ranked is refused in O(1).
 
-Both structures are behaviour-preserving: packings are byte-identical to
-the naive implementation retained in :mod:`repro.core.reference`, which the
+All of it is behaviour-preserving: packings are byte-identical to the naive
+implementation retained in :mod:`repro.core.reference`, which the
 golden-equivalence tests enforce.
 """
 
@@ -37,9 +47,16 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.cluster.resources import Resources
 from repro.cluster.state import ClusterState, ReplicaId, SchedulingError  # noqa: F401  (re-export)
 from repro.core.plan import ActivationPlan, RankedMicroservice
+
+#: How many nodes the repack (migration) strategy examines per placement.
+#: The candidates with the most free capacity are the ones most likely to be
+#: freed up, so a small bound keeps the heuristic close to linear without
+#: changing its outcome in practice.  Shared with the reference twin.
+REPACK_CANDIDATE_NODES = 8
 
 
 class _NodeIndex:
@@ -53,6 +70,13 @@ class _NodeIndex:
     Each block caches its maximum free memory as a ``[value, multiplicity]``
     pair: removing one of several equal-max entries just decrements the
     multiplicity, so homogeneous-memory workloads never rescan a block.
+
+    ``epoch`` advances whenever a node's free pair or resident set may have
+    changed — in :meth:`update` and :meth:`refresh`, the two calls that
+    publish a changed node (a bare :meth:`remove` / :meth:`reinsert` bracket
+    around a node nobody touched restores the same entry set and leaves it
+    alone).  Everything the packer proves about "nothing fits" is stamped
+    with the epoch it was proven at and is void at any other.
     """
 
     #: Target block size; blocks split at twice this length.
@@ -74,6 +98,10 @@ class _NodeIndex:
         self._maxmem: list[list[float]] = [self._block_max(b) for b in self._blocks]
         #: (cpu, name) of each block's last entry, for block bisection
         self._tails: list[tuple[float, str]] = [(b[-1][0], b[-1][1]) for b in self._blocks]
+        self.epoch = 0
+        #: The epoch at which a repack walk over the top candidates probed
+        #: every resident and could migrate none (see ``_repack_to_fit``).
+        self.idle_epoch = -1
 
     @staticmethod
     def _block_max(block: list[tuple[float, str, float]]) -> list[float]:
@@ -121,6 +149,7 @@ class _NodeIndex:
         pair = self._free.get(node_name)
         if pair is None:  # pragma: no cover - index corruption guard
             raise KeyError(node_name)
+        self.epoch += 1
         cpu, mem = pair
         if new_pair is None:
             new_pair = self._free_pair(node_name)
@@ -161,16 +190,18 @@ class _NodeIndex:
         across rounds: a node that failed leaves the index, a node that
         recovered (re)enters it, and a healthy node whose usage changed is
         re-keyed.  The resulting entry set is exactly what a fresh
-        ``_NodeIndex(state)`` build would contain for this node.
+        ``_NodeIndex(state)`` build would contain for this node.  The epoch
+        advances even when the free pair comes out equal: the node's
+        residents may have been swapped for others of the same total demand.
         """
         present = node_name in self._free
-        if self._state.nodes[node_name].failed:
-            if present:
-                self.remove(node_name)
-            return
-        if present:
+        if present and not self._state.nodes[node_name].failed:
             self.update(node_name)
-        else:
+            return
+        self.epoch += 1
+        if present:
+            self.remove(node_name)
+        elif not self._state.nodes[node_name].failed:
             self.reinsert(node_name)
 
     def reinsert(self, node_name: str) -> None:
@@ -252,8 +283,17 @@ class _VictimIndex:
     replica that is unassigned and re-assigned moves to the back of its rank
     bucket, exactly like a re-inserted key moves to the back of a dict).
 
-    The index is built lazily on the first delete-lower-ranks call (many
-    packs never reach that strategy) and maintained incrementally afterwards.
+    Nothing is computed before the first delete-lower-ranks call (many packs
+    never reach that strategy), and then only what the question needs:
+
+    * ``_ceiling`` is an upper bound on the highest rank of any running
+      replica: one O(microservices) pass over the state's running counters,
+      raised by every later :meth:`add` and never lowered (a deletion can
+      only make the true maximum smaller).  An asker ranked at or above it
+      has no victim, and no assignment is looked at.
+    * Otherwise the replicas ranked above the asker (``_floor``) are bucketed
+      from the assignment map.  Askers arrive in rank order, so one build
+      serves the rest of the pack; an asker below the floor rebuilds.
     """
 
     def __init__(self, rank_of: dict[tuple[str, str], int]) -> None:
@@ -263,16 +303,39 @@ class _VictimIndex:
         self._buckets: dict[int, dict[ReplicaId, None]] = {}
         #: sorted list of ranks that currently have victims
         self._ranks: list[int] = []
-        self.built = False
+        self._ceiling = -1
+        self._floor: int | None = None
+        #: True from the first look-up on: the packer reports every
+        #: assignment change from then on (:meth:`add` / :meth:`discard`).
+        self.tracking = False
+        #: How many times the assignment map was bucketed (observability).
+        self.builds = 0
 
-    def build(self, assignments) -> None:
-        """Populate from the current assignment map (insertion order)."""
+    def _build(self, assignments, floor: int) -> None:
+        """Bucket the replicas ranked above ``floor`` (insertion order)."""
+        rank_get = self._rank_of.get
+        default = self._default
+        buckets: dict[int, dict[ReplicaId, None]] = {}
         for replica in assignments:
-            self.add(replica)
-        self.built = True
+            rank = rank_get(replica[:2], default)
+            if rank > floor:
+                bucket = buckets.get(rank)
+                if bucket is None:
+                    buckets[rank] = {replica: None}
+                else:
+                    bucket[replica] = None
+        self._buckets = buckets
+        self._ranks = sorted(buckets)
+        self._floor = floor
+        self.builds += 1
 
     def add(self, replica: ReplicaId) -> None:
-        rank = self._rank_of.get((replica.app, replica.microservice), self._default)
+        rank = self._rank_of.get(replica[:2], self._default)
+        if rank > self._ceiling:
+            self._ceiling = rank
+        floor = self._floor
+        if floor is None or rank <= floor:
+            return
         bucket = self._buckets.get(rank)
         if bucket is None:
             self._buckets[rank] = {replica: None}
@@ -281,7 +344,7 @@ class _VictimIndex:
             bucket[replica] = None
 
     def discard(self, replica: ReplicaId) -> None:
-        rank = self._rank_of.get((replica.app, replica.microservice), self._default)
+        rank = self._rank_of.get(replica[:2], self._default)
         bucket = self._buckets.get(rank)
         if bucket is None or replica not in bucket:
             return
@@ -291,15 +354,88 @@ class _VictimIndex:
             i = bisect.bisect_left(self._ranks, rank)
             del self._ranks[i]
 
-    def peek_lowest(self, above_rank: int) -> ReplicaId | None:
-        """Next victim with rank strictly greater than ``above_rank``."""
+    def lowest_above(self, above_rank: int, state: ClusterState) -> ReplicaId | None:
+        """Next victim with rank strictly greater than ``above_rank``.
+
+        ``state`` must have no replica on a failed node (the pack evicts
+        them first), so its running counters cover every assignment.
+        """
+        if not self.tracking:
+            rank_get = self._rank_of.get
+            default = self._default
+            self._ceiling = max(
+                (
+                    rank_get(key, default)
+                    for key, count in state.running_view().items()
+                    if count > 0
+                ),
+                default=-1,
+            )
+            self.tracking = True
+        if self._ceiling <= above_rank:
+            return None
+        if self._floor is None or above_rank < self._floor:
+            self._build(state.assignments, above_rank)
         ranks = self._ranks
-        if not ranks:
+        if not ranks or ranks[-1] <= above_rank:
             return None
-        rank = ranks[-1]
-        if rank <= above_rank:
-            return None
-        return next(iter(self._buckets[rank]))
+        return next(iter(self._buckets[ranks[-1]]))
+
+
+class _DeadEnds:
+    """Refusals one pack has proven at the node index's current epoch.
+
+    A microservice is *refused* when best-fit, repack and delete-lower-ranks
+    all fail for one of its replicas.  If the index epoch did not move while
+    that happened, nothing was placed, migrated or deleted, and the refusal
+    is a fact about its ``(cpu, memory, rank)`` at that epoch which extends
+    to every entry that is >= on all three:
+
+    * best-fit's predicate is monotone in the demand — a node that fits
+      ``(c', m')`` fits every ``(c, m)`` with ``c <= c'`` and ``m <= m'``,
+      and the scan for the larger demand starts no earlier;
+    * the repack walk moved nothing, so the epoch is idle and a later walk
+      would only repeat that same monotone fit test on the same candidates;
+    * no running replica was ranked after the asker, so none is ranked
+      after anything that itself ranks after the asker.
+
+    Such an entry is refused without asking again.  Only the minimal
+    refusals (a Pareto frontier) are kept, so the check stays a short scan.
+    The two counters ride along for ``engine.pack.*`` observability.
+    """
+
+    __slots__ = ("_index", "_epoch", "_frontier", "short_circuited", "repack_probes")
+
+    def __init__(self, index: _NodeIndex) -> None:
+        self._index = index
+        self._epoch = index.epoch
+        self._frontier: list[tuple[float, float, int]] = []
+        #: Entries refused by :meth:`covers` alone.
+        self.short_circuited = 0
+        #: Per-resident best-fit probes made by repack walks.
+        self.repack_probes = 0
+
+    def covers(self, cpu: float, memory: float, rank: int) -> bool:
+        """True when a refusal recorded at this epoch settles this entry."""
+        epoch = self._index.epoch
+        if epoch != self._epoch:
+            self._epoch = epoch
+            self._frontier = []
+            return False
+        for known_cpu, known_memory, known_rank in self._frontier:
+            if cpu >= known_cpu and memory >= known_memory and rank >= known_rank:
+                self.short_circuited += 1
+                return True
+        return False
+
+    def record(self, cpu: float, memory: float, rank: int) -> None:
+        """Remember a refusal that left the epoch :meth:`covers` last saw."""
+        self._frontier = [
+            known
+            for known in self._frontier
+            if not (cpu <= known[0] and memory <= known[1] and rank <= known[2])
+        ]
+        self._frontier.append((cpu, memory, rank))
 
 
 @dataclass
@@ -317,23 +453,11 @@ class PackingResult:
 
 
 class PackingHeuristic:
-    """Criticality-aware bin packing (Algorithm 2).
+    """Criticality-aware bin packing (Algorithm 2)."""
 
-    ``repack_candidate_nodes`` bounds how many nodes the migration strategy
-    examines per placement; the candidates with the most free capacity are
-    the ones most likely to be freed up, so a small bound keeps the heuristic
-    close to linear without changing its outcome in practice.
-    """
-
-    def __init__(
-        self,
-        allow_migration: bool = True,
-        allow_deletion: bool = True,
-        repack_candidate_nodes: int = 8,
-    ) -> None:
+    def __init__(self, allow_migration: bool = True, allow_deletion: bool = True) -> None:
         self.allow_migration = allow_migration
         self.allow_deletion = allow_deletion
-        self.repack_candidate_nodes = repack_candidate_nodes
 
     # -- public API ----------------------------------------------------------
     def pack(self, state: ClusterState, plan: ActivationPlan) -> PackingResult:
@@ -390,6 +514,7 @@ class PackingHeuristic:
                     result.deleted.append(replica)
             index = _NodeIndex(state)
         victims = _VictimIndex(rank_of) if self.allow_deletion else None
+        dead_ends = _DeadEnds(index)
 
         applications = state.applications
         running = state.running_view()
@@ -407,12 +532,22 @@ class PackingHeuristic:
             if lacking is None or entry[1] not in lacking:
                 continue  # every replica already runs on a healthy node
             placed = self._place_microservice(
-                state, index, victims, entry, rank_of, result, applications, running
+                state, index, victims, dead_ends, entry, rank_of, result, applications, running
             )
             if not placed:
                 unplaced_append((app_name, entry[1]))
 
         result.assignment = state.assignments_snapshot()
+        registry = obs.registry()
+        if registry.enabled:
+            registry.counter("engine.pack.refused").inc(len(result.unplaced))
+            registry.counter("engine.pack.refusals_short_circuited").inc(
+                dead_ends.short_circuited
+            )
+            registry.counter("engine.pack.repack_probes").inc(dead_ends.repack_probes)
+            registry.counter("engine.pack.victim_index_builds").inc(
+                victims.builds if victims is not None else 0
+            )
         return result, index
 
     # -- internal steps --------------------------------------------------------
@@ -421,6 +556,7 @@ class PackingHeuristic:
         state: ClusterState,
         index: _NodeIndex,
         victims: _VictimIndex | None,
+        dead_ends: _DeadEnds,
         entry: RankedMicroservice,
         rank_of: dict[tuple[str, str], int],
         result: PackingResult,
@@ -439,6 +575,10 @@ class PackingHeuristic:
         if running.get((app_name, ms_name), 0) >= replica_count:
             return True  # every replica already runs on a healthy node
         resources = ms.resources
+        my_rank = rank_of.get(entry[:2], len(rank_of))
+        if dead_ends.covers(resources.cpu, resources.memory, my_rank):
+            return False
+        epoch = index.epoch
         node_of = state.node_of
         best_fit = index.best_fit
         tuple_new = tuple.__new__
@@ -451,12 +591,14 @@ class PackingHeuristic:
             node_name = best_fit(resources)
             if node_name is None:
                 node_name = self._find_node_slow(
-                    state, index, victims, resources, entry, rank_of, result
+                    state, index, victims, dead_ends, resources, my_rank, result
                 )
             if node_name is None:
                 # Roll back replicas of this microservice placed in this round.
                 for done in placed_now:
                     self._unassign(state, index, victims, done)
+                if index.epoch == epoch:
+                    dead_ends.record(resources.cpu, resources.memory, my_rank)
                 return False
             self._assign(state, index, victims, replica, node_name)
             placed_now.append(replica)
@@ -472,7 +614,7 @@ class PackingHeuristic:
     ) -> None:
         new_free = state.assign_packed(replica, node_name)
         index.update(node_name, new_free)
-        if victims is not None and victims.built:
+        if victims is not None and victims.tracking:
             victims.add(replica)
 
     def _unassign(
@@ -484,7 +626,7 @@ class PackingHeuristic:
     ) -> str:
         node_name, new_free = state.unassign_packed(replica)
         index.update(node_name, new_free)
-        if victims is not None and victims.built:
+        if victims is not None and victims.tracking:
             victims.discard(replica)
         return node_name
 
@@ -493,18 +635,20 @@ class PackingHeuristic:
         state: ClusterState,
         index: _NodeIndex,
         victims: _VictimIndex | None,
+        dead_ends: _DeadEnds,
         demand: Resources,
-        entry: RankedMicroservice,
-        rank_of: dict[tuple[str, str], int],
+        my_rank: int,
         result: PackingResult,
     ) -> str | None:
         """Fallback strategies once best-fit found no node (Alg. 2 steps 2-3)."""
         if self.allow_migration:
-            node_name = self._repack_to_fit(state, index, victims, demand, result)
+            node_name = self._repack_to_fit(state, index, victims, dead_ends, demand, result)
             if node_name is not None:
                 return node_name
-        if self.allow_deletion:
-            node_name = self._delete_lower_ranks_to_fit(state, index, victims, demand, entry, rank_of, result)
+        if victims is not None:
+            node_name = self._delete_lower_ranks_to_fit(
+                state, index, victims, demand, my_rank, result
+            )
             if node_name is not None:
                 return node_name
         return None
@@ -514,6 +658,7 @@ class PackingHeuristic:
         state: ClusterState,
         index: _NodeIndex,
         victims: _VictimIndex | None,
+        dead_ends: _DeadEnds,
         demand: Resources,
         result: PackingResult,
     ) -> str | None:
@@ -524,12 +669,23 @@ class PackingHeuristic:
         Migration moves are applied eagerly; if a candidate still cannot fit
         the demand the moves are kept (they only improve packing) and the
         next candidate is tried, matching the heuristic's greedy character.
+
+        Whether a resident can move does not depend on ``demand``.  A walk
+        that probed every resident of every candidate and moved none marks
+        the index epoch *idle*; until the epoch advances, a walk for any
+        demand would find the same candidates, probe the same residents and
+        move none again, so only the direct fit test — the one step that
+        reads ``demand`` — is repeated.
         """
-        candidates = index.nodes_by_free_desc(self.repack_candidate_nodes)
+        candidates = index.nodes_by_free_desc(REPACK_CANDIDATE_NODES)
+        epoch = index.epoch
+        idle = index.idle_epoch == epoch
         demand_of = state.demand_of
         for node_name in candidates:
             if demand.fits_within(state.free_on(node_name)):
                 return node_name
+            if idle:
+                continue
             # Single sort on (cpu, replica id) == the naive cpu-keyed stable
             # sort over the name-sorted resident list.
             residents = sorted(
@@ -543,37 +699,34 @@ class PackingHeuristic:
                 if demand.fits_within(state.free_on(node_name)):
                     break
                 resident_demand = demand_of(resident.app, resident.microservice)
+                dead_ends.repack_probes += 1
                 target = index.best_fit(resident_demand)
                 if target is None:
                     continue
                 state.unassign_packed(resident)
-                if victims is not None and victims.built:
+                if victims is not None and victims.tracking:
                     victims.discard(resident)
                 self._assign(state, index, victims, resident, target)
                 result.migrated[resident] = (node_name, target)
             index.reinsert(node_name)
             if demand.fits_within(state.free_on(node_name)):
                 return node_name
+        if index.epoch == epoch:  # every migration re-keys its target node
+            index.idle_epoch = epoch
         return None
 
     def _delete_lower_ranks_to_fit(
         self,
         state: ClusterState,
         index: _NodeIndex,
-        victims: _VictimIndex | None,
+        victims: _VictimIndex,
         demand: Resources,
-        entry: RankedMicroservice,
-        rank_of: dict[tuple[str, str], int],
+        my_rank: int,
         result: PackingResult,
     ) -> str | None:
         """Delete lower-priority running replicas until the demand fits."""
-        if victims is None:
-            return None
-        if not victims.built:
-            victims.build(state.assignments)
-        my_rank = rank_of.get((entry.app, entry.microservice), len(rank_of))
         while True:
-            victim = victims.peek_lowest(my_rank)
+            victim = victims.lowest_above(my_rank, state)
             if victim is None:
                 return None
             self._unassign(state, index, victims, victim)

@@ -37,6 +37,7 @@ from repro.cluster.application import Application
 from repro.cluster.resources import Resources
 from repro.cluster.state import ClusterState, ReplicaId
 from repro.core.objectives import OperatorObjective
+from repro.core.packing import REPACK_CANDIDATE_NODES, PackingResult
 from repro.core.plan import Action, ActionKind, ActivationPlan, RankedMicroservice
 
 
@@ -168,19 +169,11 @@ class ReferencePackingHeuristic:
     residents during repacking.
     """
 
-    def __init__(
-        self,
-        allow_migration: bool = True,
-        allow_deletion: bool = True,
-        repack_candidate_nodes: int = 8,
-    ) -> None:
+    def __init__(self, allow_migration: bool = True, allow_deletion: bool = True) -> None:
         self.allow_migration = allow_migration
         self.allow_deletion = allow_deletion
-        self.repack_candidate_nodes = repack_candidate_nodes
 
     def pack(self, state: ClusterState, plan: ActivationPlan):
-        from repro.core.packing import PackingResult
-
         result = PackingResult()
         state.evict_from_failed_nodes()
 
@@ -242,7 +235,7 @@ class ReferencePackingHeuristic:
         return None
 
     def _repack_to_fit(self, state, index, demand, result):
-        candidates = index.nodes_by_free_desc()[: self.repack_candidate_nodes]
+        candidates = index.nodes_by_free_desc()[:REPACK_CANDIDATE_NODES]
         for node_name in candidates:
             if demand.fits_within(state.free_on(node_name)):
                 return node_name

@@ -150,6 +150,88 @@ class TestChurnFuzzEquivalence:
         assert incremental.fast_rounds > 50, "fast path barely engaged"
         assert incremental.full_rounds > 3, "fallbacks never exercised"
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_overcommitted_churn_refuses_every_round(self, seed):
+        """headroom < 1: demand exceeds capacity, so every round refuses entries.
+
+        Gentle churn (one node per round, at most four down) keeps the
+        cluster in the crunch instead of emptying it.  The packer's dead-end
+        memos are stamped with the persistent node index's epoch; the
+        lockstep equality proves the stamp stays honest through every
+        ``refresh()`` / ``resync_from`` between rounds.
+        """
+        rng = random.Random(seed)
+        states = {name: _app_cluster(headroom=0.8) for name in self.ENGINES}
+        engines = {name: factory() for name, factory in self.ENGINES.items()}
+        for name, engine in engines.items():
+            engine.reconcile(states[name], force=True)
+        incremental = engines["inc"].pipeline.incremental
+        epochs = set()
+        for step in range(120):
+            failed = sorted(states["inc"].failed_names())
+            healthy = sorted(n.name for n in states["inc"].healthy_nodes())
+            if len(failed) >= 4 or (failed and rng.random() < 0.45):
+                kind, node = "recover", rng.choice(failed)
+            else:
+                kind, node = "fail", rng.choice(healthy)
+            reports = {}
+            for name, engine in engines.items():
+                state = states[name]
+                (state.fail_nodes if kind == "fail" else state.recover_nodes)([node])
+                reports[name] = _report_fingerprint(engine.reconcile(state))
+            assert reports["inc"] == reports["full"], f"step {step} (vs full)"
+            assert reports["inc"] == reports["ref"], f"step {step} (vs reference)"
+            assert reports["inc"]["unplaced"], f"step {step}: nothing refused, no crunch"
+            inc_state = _state_fingerprint(states["inc"])
+            assert inc_state == _state_fingerprint(states["full"]), f"step {step} state"
+            assert inc_state == _state_fingerprint(states["ref"]), f"step {step} state"
+            epochs.add(incremental._index.epoch)
+        assert incremental.fast_rounds > 100, "fast path barely engaged"
+        assert len(epochs) > 100, "the persistent index's epoch must move every round"
+        for state in states.values():
+            verify_invariants(state)
+
+    def test_idle_stamp_survives_an_untouched_round(self):
+        """Nothing changes between two fast rounds: they share one index epoch.
+
+        The second round therefore starts at the epoch the first one proved
+        idle and refuses the whole tail from that proof — and must still
+        agree with the reference, which re-proves everything.
+        """
+        from repro.cluster import Application
+        from repro.core.incremental import IncrementalScheduler
+        from repro.core.packing import PackingHeuristic
+        from repro.core.plan import ActivationPlan, RankedMicroservice
+        from repro.core.reference import ReferencePackingHeuristic
+        from repro.core.scheduler import diff_actions
+        from tests.conftest import make_microservice
+
+        fillers = [make_microservice(f"f{i:02d}", cpu=3.5, memory=1) for i in range(12)]
+        bigs = [make_microservice(f"big{i}", cpu=4 + i, memory=1, criticality=5) for i in range(4)]
+        app = Application.from_microservices("a", fillers + bigs)
+        state = ClusterState(
+            nodes=[Node(f"n{i}", Resources(8, 8)) for i in range(6)], applications=[app]
+        )
+        for i, ms in enumerate(fillers):  # two per node: 1 cpu free everywhere
+            state.assign(ReplicaId("a", ms.name, 0), f"n{i // 2}")
+        entries = [RankedMicroservice("a", ms.name, ms.resources.cpu) for ms in fillers + bigs]
+        plan = ActivationPlan(ranked=entries, activated=list(entries))
+        expected = ReferencePackingHeuristic().pack(state.copy(share_nodes=True), plan)
+        assert expected.unplaced == [("a", ms.name) for ms in bigs]
+
+        scheduler = IncrementalScheduler(PackingHeuristic(), diff_actions)
+        stamps = []
+        for _ in range(4):
+            schedule = scheduler.schedule(state, plan)
+            assert schedule.unplaced == expected.unplaced
+            assert list(schedule.target_assignment.items()) == list(expected.assignment.items())
+            assert schedule.actions == []
+            if scheduler._index is not None:
+                stamps.append((scheduler._index.epoch, scheduler._index.idle_epoch))
+        assert scheduler.fast_rounds == 2
+        assert stamps[-1] == stamps[-2], "no node changed, so the epoch must not move"
+        assert stamps[-1][0] == stamps[-1][1], "and it is still the proven-idle one"
+
     def test_adaptlab_environment_churn(self):
         rng = random.Random(7)
         states = {
@@ -301,6 +383,7 @@ class TestIncrementalFallbacks:
         state, engine, inc = self._converged()
         engine.reconcile(state, force=True)
         assert inc.fast_rounds == 0 and inc.last_mode == "full"
+        assert inc.last_full_reason == "invalidated"
 
     def test_structural_change_falls_back(self):
         state, engine, inc = self._converged()
@@ -308,6 +391,7 @@ class TestIncrementalFallbacks:
         state.fail_nodes(["node-2"])
         engine.reconcile(state)
         assert inc.fast_rounds == 0 and inc.last_mode == "full"
+        assert inc.last_full_reason == "structural"
         # The round after a structural fallback is incremental again.
         state.fail_nodes(["node-3"])
         engine.reconcile(state)
@@ -319,7 +403,7 @@ class TestIncrementalFallbacks:
         state.drain_dirty()  # another consumer steals the accumulated dirt
         engine.reconcile(state)
         assert inc.fast_rounds == 0 and inc.last_mode == "full"
-
+        assert inc.last_full_reason == "token_mismatch"
 
     def test_dirty_threshold_falls_back(self):
         state, engine, inc = self._converged()
@@ -327,6 +411,7 @@ class TestIncrementalFallbacks:
         state.fail_nodes(healthy[: len(healthy) // 2])  # way past 25%
         engine.reconcile(state)
         assert inc.last_mode == "full"
+        assert inc.last_full_reason == "dirty_threshold"
 
     def test_different_state_object_falls_back(self):
         state, engine, inc = self._converged()
@@ -334,6 +419,13 @@ class TestIncrementalFallbacks:
         engine.reset()
         engine.reconcile(other, force=True)
         assert inc.fast_rounds == 0
+        # A state the scheduler has not adopted yet: seen once, then retained.
+        other.fail_nodes(["node-0"])
+        engine.reconcile(other)
+        assert inc.last_full_reason == "new_state"
+        other.fail_nodes(["node-1"])
+        engine.reconcile(other)
+        assert inc.last_mode == "incremental"
 
     def test_invalidate(self):
         state, engine, inc = self._converged()
@@ -341,6 +433,41 @@ class TestIncrementalFallbacks:
         state.fail_nodes(["node-5"])
         engine.reconcile(state)
         assert inc.fast_rounds == 0 and inc.full_rounds == 1
+        assert inc.last_full_reason == "invalidated"
+
+    def test_full_rounds_are_counted_by_reason(self):
+        """``engine.incremental.full_rounds{reason=}`` says which fallback fired."""
+        from repro import obs
+
+        state, engine, inc = self._converged()
+        obs.registry().reset()
+        obs.enable()
+        try:
+            state.add_node(Node("late-node", Resources(1, 1)))
+            state.fail_nodes(["node-2"])
+            engine.reconcile(state)  # structural
+            state.fail_nodes(["node-3"])
+            engine.reconcile(state)  # fast
+            engine.reconcile(state, force=True)  # invalidated
+            reference = api.engine("revenue", implementation="reference")
+            reference.reconcile(_app_cluster(), force=True)  # incremental asked, packer not stock
+        finally:
+            obs.disable()
+        registry = obs.registry()
+        counted = {
+            reason: registry.counter("engine.incremental.full_rounds", reason=reason).value
+            for reason in (
+                "new_state", "invalidated", "structural",
+                "token_mismatch", "dirty_threshold", "non_stock_packer",
+            )
+        }
+        fast = registry.counter("engine.incremental.fast_rounds").value
+        obs.registry().reset()
+        assert counted == {
+            "new_state": 0, "invalidated": 1, "structural": 1,
+            "token_mismatch": 0, "dirty_threshold": 0, "non_stock_packer": 1,
+        }
+        assert fast == 1 and inc.full_rounds == 2
 
     def test_reference_pipeline_has_no_incremental(self):
         engine = api.engine("revenue", implementation="reference")

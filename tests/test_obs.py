@@ -328,3 +328,36 @@ class TestEventBusIsolation:
         with pytest.raises(ValueError):
             bus.emit(FailureDetected(nodes=("n1",)))
         assert obs.registry().snapshot()["counters"]["obs.subscriber_errors"] == 1
+
+
+# -- the metric catalogue cannot drift from the code -------------------------------
+
+
+class TestMetricCatalogue:
+    """``tools/check_docs.py``: every registered metric has a catalogue row."""
+
+    @staticmethod
+    def _check_docs():
+        import importlib.util
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location("check_docs", root / "tools" / "check_docs.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module, root
+
+    def test_every_registered_metric_is_catalogued(self):
+        check_docs, root = self._check_docs()
+        registered = check_docs.registered_metrics(root / "src" / "repro")
+        assert "engine.pack.refused" in registered and "fleet.phase.{phase}_seconds" in registered
+        assert check_docs.check_metric_catalogue(root) == []
+
+    def test_a_missing_row_is_reported(self, tmp_path):
+        check_docs, root = self._check_docs()
+        catalogue = (root / check_docs.CATALOGUE).read_text(encoding="utf-8")
+        kept = [line for line in catalogue.splitlines() if "`engine.pack.refused`" not in line]
+        doc = tmp_path / "observability.md"
+        doc.write_text("\n".join(kept), encoding="utf-8")
+        errors = check_docs.check_metric_catalogue(root, doc)
+        assert len(errors) == 1 and "'engine.pack.refused'" in errors[0]

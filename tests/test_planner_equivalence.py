@@ -347,3 +347,95 @@ class TestTargetedEquivalence:
         plan_ref = reference_plan(state, CoupledObjective())
         assert plan_opt.ranked == plan_ref.ranked
         assert plan_opt.activated == plan_ref.activated
+
+
+# -- the refusal path under a real crunch ------------------------------------------
+
+from repro.core.scheduler import apply_schedule
+
+CRUNCH_SETTINGS = [
+    {"allow_migration": migration, "allow_deletion": deletion}
+    for migration in (True, False)
+    for deletion in (True, False)
+]
+
+
+def _crunch_tenant(rng: random.Random, tenant: int, template: list[tuple]) -> Application:
+    """One renamed copy of the template application (tenant tiling)."""
+    return Application.from_microservices(
+        f"tenant{tenant:02d}",
+        [
+            Microservice(
+                name=name,
+                resources=Resources(cpu=cpu, memory=memory),
+                criticality=CriticalityTag(criticality),
+                replicas=replicas,
+            )
+            for name, cpu, memory, criticality, replicas in template
+        ],
+        price_per_unit=rng.choice([1.0, 2.0, 3.0, 5.0]),
+    )
+
+
+def _crunch_cluster(seed: int, tenants: int = 6, node_count: int = 40):
+    """A tiled cluster >= 70 % full on the cpu axis, then 35 % of it lost.
+
+    Demands are two-dimensional and heterogeneous (cpu-heavy, memory-heavy
+    and balanced microservices, one to three replicas), so best-fit fails on
+    either axis and a refusal on one axis says nothing about the other.
+    """
+    rng = random.Random(seed)
+    template = []
+    for j in range(rng.randint(14, 20)):
+        shape = rng.random()
+        if shape < 0.3:  # memory-heavy
+            cpu, memory = rng.choice([0.25, 0.5, 1.0]), rng.choice([3.0, 4.0, 6.0])
+        elif shape < 0.6:  # cpu-heavy
+            cpu, memory = rng.choice([2.0, 3.0, 4.0]), rng.choice([0.25, 0.5, 1.0])
+        else:
+            cpu, memory = rng.choice([0.5, 1.0, 1.5, 2.0]), rng.choice([0.5, 1.0, 2.0])
+        template.append((f"ms{j:02d}", cpu, memory, rng.randint(1, 5), rng.choice([1, 1, 2, 3])))
+    apps = [_crunch_tenant(rng, t, template) for t in range(tenants)]
+    cpu = sum(app.total_demand().cpu for app in apps)
+    memory = sum(app.total_demand().memory for app in apps)
+    nodes = [
+        Node(f"n{i:02d}", Resources(cpu / (0.74 * node_count), memory / (0.74 * node_count)))
+        for i in range(node_count)
+    ]
+    state = ClusterState(nodes=nodes, applications=apps)
+    planner = PhoenixPlanner(RevenueObjective())
+    apply_schedule(state, PhoenixScheduler().schedule(state, planner.plan(state)))
+    assert state.utilization() >= 0.70, "the cluster must be full before the loss"
+    state.fail_nodes(rng.sample(sorted(state.nodes), round(0.35 * node_count)))
+    return rng, state, planner
+
+
+@pytest.mark.parametrize("settings", CRUNCH_SETTINGS, ids=lambda s: "mig{allow_migration:d}-del{allow_deletion:d}".format(**s))
+@pytest.mark.parametrize("seed", range(5))
+def test_crunch_refusals_identical_to_reference(seed, settings):
+    """Fast == reference byte for byte while most of the tail is refused.
+
+    Three rounds: the 35 % loss itself, then two churn rounds on the adopted
+    packing (nodes swap between failed and healthy), where lower ranks run
+    and delete-lower-ranks has real victims.
+    """
+    rng, state, planner = _crunch_cluster(30_000 + seed)
+    refused = 0
+    for _ in range(3):
+        plan = planner.plan(state)
+        packing_opt = PackingHeuristic(**settings).pack(state.copy(), plan)
+        packing_ref = ReferencePackingHeuristic(**settings).pack(state.copy(), plan)
+        assert_packing_equal(packing_opt, packing_ref)
+        actions_opt = PhoenixScheduler._diff(state, packing_opt)
+        assert actions_opt == reference_diff(state, packing_ref)
+        refused += len(packing_opt.unplaced)
+
+        schedule = PhoenixScheduler(**settings).schedule(state, plan)
+        assert schedule.actions == actions_opt
+        apply_schedule(state, schedule)
+        assert_running_index_consistent(state)
+        failed = sorted(state.failed_names())
+        healthy = sorted(set(state.nodes) - set(failed))
+        state.recover_nodes(rng.sample(failed, 2))
+        state.fail_nodes(rng.sample(healthy, 2))
+    assert refused, "the scenario must exercise the refusal path"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Markdown link check: every relative link in the repo's docs must resolve.
+"""Docs check: relative links resolve, and the metric catalogue is complete.
 
 Scans the given markdown files (default: every tracked ``*.md`` outside
 hidden directories) for inline links/images ``[text](target)`` and verifies
@@ -7,8 +7,13 @@ that relative targets exist on disk.  External links (``http(s)://``,
 ``mailto:``) and pure in-page anchors (``#...``) are skipped — CI must not
 depend on the network.
 
-Exit codes: 0 when every link resolves, 1 otherwise (one line per broken
-link).  Used by the ``docs`` CI job; run locally with::
+Without arguments it also checks that every metric name registered under
+``src/repro/`` (a string literal passed to ``.counter(`` / ``.gauge(`` /
+``.histogram(``) appears in the catalogue table of ``docs/observability.md``,
+so the catalogue cannot drift from the code again.
+
+Exit codes: 0 when every link resolves and no metric is missing, 1 otherwise
+(one line per finding).  Used by the ``docs`` CI job; run locally with::
 
     python tools/check_docs.py
 """
@@ -24,6 +29,12 @@ from pathlib import Path
 LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+
+#: A metric registration: the name is the first argument, a (possibly f-)
+#: string literal; ``\s*`` spans the line break of a wrapped call.
+METRIC_CALL = re.compile(r"\.(?:counter|gauge|histogram)\(\s*f?\"([^\"]+)\"")
+CATALOGUE = Path("docs") / "observability.md"
+CATALOGUE_HEADING = "## Metric catalog"
 
 
 def iter_markdown_files(root: Path) -> list[Path]:
@@ -54,6 +65,55 @@ def check_file(path: Path, root: Path) -> list[str]:
     return errors
 
 
+def registered_metrics(source_root: Path) -> dict[str, str]:
+    """Metric name (``{field}`` left in f-string names) -> ``file:line`` of one use."""
+    found: dict[str, str] = {}
+    for path in sorted(source_root.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in METRIC_CALL.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            found.setdefault(match.group(1), f"{path.name}:{line}")
+    return found
+
+
+def catalogued_metrics(doc: Path) -> set[str]:
+    """Names in the first column of the catalogue table.
+
+    ``a.{x,y}_s`` lists ``a.x_s`` and ``a.y_s``; a ``{label=...}`` suffix
+    names the metric's labels and is not part of its name.
+    """
+    names: set[str] = set()
+    in_catalogue = False
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            in_catalogue = line.startswith(CATALOGUE_HEADING)
+        if not in_catalogue or not line.startswith("|"):
+            continue
+        for cell_name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            cell_name = re.sub(r"\{[^}]*=[^}]*\}", "", cell_name)
+            choice = re.search(r"\{([^}]*)\}", cell_name)
+            if choice is None:
+                names.add(cell_name)
+            else:
+                names.update(
+                    cell_name[: choice.start()] + option.strip() + cell_name[choice.end() :]
+                    for option in choice.group(1).split(",")
+                )
+    return names
+
+
+def check_metric_catalogue(root: Path, doc: Path | None = None) -> list[str]:
+    doc = root / CATALOGUE if doc is None else doc
+    catalogued = catalogued_metrics(doc)
+    errors = []
+    for name, where in sorted(registered_metrics(root / "src" / "repro").items()):
+        # An f-string field stands for any run of name characters.
+        pattern = re.sub(r"\\\{[^}]*\\\}", "[a-z0-9_]+", re.escape(name))
+        if not any(re.fullmatch(pattern, listed) for listed in catalogued):
+            errors.append(f"{CATALOGUE}: metric {name!r} ({where}) is not in the catalogue table")
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(__file__).resolve().parent.parent
@@ -61,10 +121,14 @@ def main(argv: list[str] | None = None) -> int:
     errors = []
     for path in files:
         errors.extend(check_file(path, root))
-    for error in errors:
+    missing = [] if argv else check_metric_catalogue(root)
+    for error in errors + missing:
         print(error, file=sys.stderr)
-    print(f"checked {len(files)} markdown file(s): {len(errors)} broken link(s)")
-    return 1 if errors else 0
+    print(
+        f"checked {len(files)} markdown file(s): {len(errors)} broken link(s), "
+        f"{len(missing)} uncatalogued metric(s)"
+    )
+    return 1 if errors or missing else 0
 
 
 if __name__ == "__main__":
