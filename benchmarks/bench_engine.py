@@ -3,8 +3,8 @@
 The engine is the single entrypoint for every frontend, so it must be free:
 driving plan → pack → diff through `PhoenixEngine.plan`/`schedule` has to
 cost (almost) exactly what hand-wiring `PhoenixPlanner` + `PhoenixScheduler`
-costs.  This bench measures both on identical inputs (best-of-N, GC paused,
-same protocol as `bench_hotpath`) and gates the overhead at **< 5 %**.
+costs.  This bench measures both on identical inputs (best-of-N, GC paused)
+and gates the overhead at **< 5 %**.
 
 Run standalone::
 
@@ -18,30 +18,65 @@ or via pytest (used by CI)::
 from __future__ import annotations
 
 import argparse
-import os
-import sys
+import gc
+import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-from bench_hotpath import _best_of, _prepare  # noqa: E402
-
-import repro.api as api  # noqa: E402
-from repro import obs  # noqa: E402
-from repro.core.objectives import RevenueObjective  # noqa: E402
-from repro.core.planner import PhoenixPlanner  # noqa: E402
-from repro.core.scheduler import PhoenixScheduler  # noqa: E402
+import repro.api as api
+from repro import obs
+from repro.adaptlab import (
+    build_environment,
+    generate_alibaba_applications,
+    inject_capacity_failure,
+)
+from repro.core.objectives import RevenueObjective
+from repro.core.planner import PhoenixPlanner
+from repro.core.scheduler import PhoenixScheduler
 
 DEFAULT_NODES = 1000
 DEFAULT_REPEATS = 5
 #: Maximum tolerated facade overhead (fraction of the direct time).
 MAX_OVERHEAD = 0.05
+FAILURE_LEVEL = 0.5
+N_APPS = 6
+SEED = 2025
+
+
+def _prepare(node_count: int):
+    """A 70 %-utilized Alibaba-like cluster after a 50 % capacity failure."""
+    apps = generate_alibaba_applications(n_apps=N_APPS, seed=SEED)
+    env = build_environment(
+        node_count=node_count,
+        applications=apps,
+        tagging_scheme="service-p90",
+        resource_model="cpm",
+        target_utilization=0.7,
+        seed=SEED,
+    )
+    state = env.fresh_state()
+    inject_capacity_failure(state, FAILURE_LEVEL, seed=0)
+    return state
+
+
+def _best_of(repeats: int, fn) -> float:
+    """Minimum wall time of ``fn`` over ``repeats`` runs, GC paused."""
+    best = float("inf")
+    for _ in range(repeats):
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - started)
+        finally:
+            gc.enable()
+    return best
 
 
 def measure_facade(node_count: int = DEFAULT_NODES, repeats: int = DEFAULT_REPEATS) -> dict:
     """Best-of-N plan+schedule seconds for the direct wiring and the engine."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    state, _, _ = _prepare(node_count)
+    state = _prepare(node_count)
 
     planner = PhoenixPlanner(RevenueObjective())
     scheduler = PhoenixScheduler()

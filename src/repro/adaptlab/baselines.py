@@ -33,7 +33,6 @@ the Fair/Priority baselines plug their policy in as a custom
 from __future__ import annotations
 
 import time
-import warnings
 from abc import ABC, abstractmethod
 
 import networkx as nx
@@ -45,7 +44,7 @@ from repro.api.engine import LPPipeline, PhoenixEngine
 from repro.cluster.application import Application
 from repro.cluster.state import ClusterState
 from repro.core.lp import LPCost, LPFair
-from repro.core.objectives import FairnessObjective, OperatorObjective, RevenueObjective
+from repro.core.objectives import FairnessObjective, RevenueObjective
 from repro.core.plan import ActivationPlan, RankedMicroservice
 from repro.core.planner import GlobalRanker, PriorityEstimator
 
@@ -72,41 +71,10 @@ class ResilienceScheme(ABC):
 class PhoenixScheme(SchemeAdapter, ResilienceScheme):
     """Phoenix engine under a configurable operator objective.
 
-    New code passes a fully configured engine (``PhoenixScheme(engine=...)``
-    or plain :class:`~repro.api.adapters.SchemeAdapter`); the pre-engine
-    ``PhoenixScheme(objective)`` form keeps working as a deprecation shim.
+    ``PhoenixScheme(engine=...)`` wraps a fully configured engine; plain
+    :class:`~repro.api.adapters.SchemeAdapter` does the same outside the
+    scheme hierarchy.
     """
-
-    def __init__(
-        self,
-        objective: OperatorObjective | None = None,
-        name: str | None = None,
-        *,
-        engine: PhoenixEngine | None = None,
-    ) -> None:
-        if (engine is None) == (objective is None):
-            raise TypeError("pass exactly one of `objective` (deprecated) or `engine`")
-        if engine is None:
-            warnings.warn(
-                "PhoenixScheme(objective) is deprecated; build an engine with "
-                "repro.api.engine(objective) and wrap it: PhoenixScheme(engine=...) "
-                "or SchemeAdapter(engine)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            engine = PhoenixEngine(EngineConfig(objective=objective))
-        super().__init__(engine, name=name)
-
-    # Legacy component views (the pre-engine scheme exposed both).
-    @property
-    def planner(self):
-        """The engine's ranking stage (a ``PhoenixPlanner``)."""
-        return self.engine.ranker
-
-    @property
-    def scheduler(self):
-        """Schedule-capable view of the engine (``schedule(state, plan)``)."""
-        return self.engine
 
 
 class PhoenixCostScheme(PhoenixScheme):

@@ -845,9 +845,7 @@ BENCH_ALIASES = {
     "table1": "bench_table1_latency.py",
     "appendix-f2": "bench_appendix_f2.py",
     "ablations": "bench_ablations.py",
-    "hotpath": "bench_hotpath.py",
     "engine": "bench_engine.py",
-    "replay-throughput": "bench_replay.py",
 }
 
 

@@ -7,21 +7,14 @@ execution live in the engine — the same code path AdaptLab schemes and the
 kubesim/chaos glue use.  It mirrors the Phoenix agent described in §4.2/§5:
 the agent polls the cluster state on a fixed interval, detects node failures
 or recoveries, and pushes a new target state when anything changed.
-
-The pre-engine constructor (``PhoenixController(backend, objective, ...)``)
-keeps working as a deprecation shim; new code should build a
-:class:`~repro.api.engine.PhoenixEngine` and either call ``reconcile``
-directly or pass it via ``PhoenixController(backend, engine=engine)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
 from repro.cluster.state import ClusterState
-from repro.core.objectives import OperatorObjective
 from repro.core.plan import Action, ActivationPlan, SchedulePlan
 from repro.core.scheduler import apply_actions
 
@@ -62,74 +55,27 @@ class PhoenixController:
     backend:
         The cluster integration to observe and act on (anything
         :func:`repro.api.engine.backend_for` accepts).
-    objective:
-        Operator objective used for global ranking.  **Deprecated**: build a
-        :class:`~repro.api.engine.PhoenixEngine` and pass ``engine=``
-        instead; the objective form keeps working as a shim.
+    engine:
+        The fully configured engine every round runs through.
     monitor_interval:
         Seconds between state observations (15 s in the paper's deployment;
         purely informational here — callers drive the loop explicitly or via
         :meth:`run` with a simulated clock).
-    allow_migration / allow_deletion:
-        Passed through to the packing heuristic (legacy form only).
-    engine:
-        A fully configured engine; mutually exclusive with ``objective`` and
-        the packing flags.
     """
 
     def __init__(
         self,
         backend: ClusterBackend,
-        objective: OperatorObjective | None = None,
-        monitor_interval: float = 15.0,
-        allow_migration: bool = True,
-        allow_deletion: bool = True,
         *,
-        engine: "PhoenixEngine | None" = None,
+        engine: "PhoenixEngine",
+        monitor_interval: float = 15.0,
     ) -> None:
         if monitor_interval <= 0:
             raise ValueError("monitor_interval must be positive")
-        if (engine is None) == (objective is None):
-            raise TypeError("pass exactly one of `objective` (deprecated) or `engine`")
-        if engine is None:
-            warnings.warn(
-                "PhoenixController(backend, objective, ...) is deprecated; build a "
-                "repro.api.PhoenixEngine (e.g. repro.api.engine(objective)) and pass "
-                "engine=..., or call engine.reconcile(backend) directly",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            from repro.api.config import EngineConfig
-            from repro.api.engine import PhoenixEngine
-
-            engine = PhoenixEngine(
-                EngineConfig(
-                    objective=objective,
-                    allow_migration=allow_migration,
-                    allow_deletion=allow_deletion,
-                    monitor_interval=monitor_interval,
-                )
-            )
         self.backend = backend
         self.engine = engine
         self.monitor_interval = monitor_interval
         self.history: list[ReconcileReport] = []
-
-    # -- legacy component views --------------------------------------------------------
-    @property
-    def planner(self):
-        """The engine's ranking stage (a ``PhoenixPlanner`` by default)."""
-        return self.engine.ranker
-
-    @property
-    def scheduler(self):
-        """Legacy view: a ``PhoenixScheduler``-shaped facade over the engine.
-
-        The engine's pipeline owns the actual packer/differ; this view exists
-        so pre-engine code poking ``controller.scheduler.packer`` keeps
-        working.
-        """
-        return _SchedulerView(self.engine)
 
     # -- single round ------------------------------------------------------------
     def reconcile(self, force: bool = False) -> ReconcileReport:
@@ -153,20 +99,6 @@ class PhoenixController:
         """Forget detection state and history (used when re-running scenarios)."""
         self.engine.reset()
         self.history.clear()
-
-
-class _SchedulerView:
-    """``PhoenixScheduler``-compatible facade over an engine's pipeline."""
-
-    def __init__(self, engine: "PhoenixEngine") -> None:
-        self._engine = engine
-
-    @property
-    def packer(self):
-        return self._engine.packer
-
-    def schedule(self, state: ClusterState, plan: ActivationPlan) -> SchedulePlan:
-        return self._engine.schedule(state, plan)
 
 
 class StateBackend:

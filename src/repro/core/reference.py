@@ -18,8 +18,8 @@ They exist for two reasons:
    :mod:`repro.core.planner`, :mod:`repro.core.packing` and
    :mod:`repro.core.scheduler` must produce byte-identical plans, packings
    and action lists.  ``tests/test_planner_equivalence.py`` asserts this
-   across randomized scenarios, and ``benchmarks/bench_hotpath.py`` uses the
-   reference as the "before" column of the perf baseline.
+   across randomized scenarios, and ``EngineConfig(implementation=
+   "reference")`` runs a whole engine on them for verification runs.
 2. **Generality fallback** — operator objectives whose ``score`` depends on
    *other* applications' allocations (``independent_scores = False``) cannot
    use the lazy-rescore heap; :class:`~repro.core.planner.GlobalRanker`

@@ -99,28 +99,13 @@ class FleetConfig(EngineConfig):
     workers:
         Default worker count for :meth:`FleetEngine.reconcile` and
         :class:`~repro.fleet.replay.FleetReplayer`; ``1`` = serial.
-        Parallel rounds are byte-identical to serial ones.
-    executor:
-        How parallel per-cell work runs — ``"process"`` (persistent worker
-        shards across an IPC boundary, the default) or ``"thread"``
-        (a thread pool over the fleet's own cells: no serialization at all,
-        but Python-level planning shares the GIL, so it only wins when the
-        per-cell work releases it or the fleet is small enough that process
-        overhead dominates).
-    codec:
-        IPC payload encoding for the process executor — ``"wire"`` (the
-        compact :mod:`repro.fleet.wire` codec, default) or ``"pickle"``.
-    batch_steps:
-        Replay-only: how many trace steps to ship per IPC round trip in
-        :class:`~repro.fleet.replay.FleetReplayer`.  ``0`` (default)
-        auto-tunes the batch from observed payload sizes; ``1`` disables
-        batching; ``N`` caps batches at N.  Metrics are byte-identical for
-        every value — a mid-batch spillover round rewinds the overrun.
+        Parallel rounds run on persistent worker processes and are
+        byte-identical to serial ones.
     cell_overrides:
         Mapping of cell name (or index) to a dict of :class:`EngineConfig`
         field overrides for that cell only.
     supervise:
-        Whether process-executor shard workers run under the
+        Whether shard workers run under the
         self-healing supervisor (dead/hung/corrupt workers restart with
         backoff, crash loops degrade to surviving workers).  ``False``
         restores fail-fast semantics: any worker fault raises
@@ -142,9 +127,6 @@ class FleetConfig(EngineConfig):
     partition_seed: int = 0
     spillover: object = "packed"
     workers: int = 1
-    executor: str = "process"
-    codec: str = "wire"
-    batch_steps: int = 0
     cell_overrides: dict = field(default_factory=dict)
     supervise: bool = True
     shard_timeout: float = 300.0
@@ -157,14 +139,6 @@ class FleetConfig(EngineConfig):
             raise ValueError("cells must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.executor not in ("process", "thread"):
-            raise ValueError(
-                f"executor must be 'process' or 'thread', got {self.executor!r}"
-            )
-        if self.codec not in ("wire", "pickle"):
-            raise ValueError(f"codec must be 'wire' or 'pickle', got {self.codec!r}")
-        if self.batch_steps < 0:
-            raise ValueError("batch_steps must be >= 0 (0 = auto-tune)")
         if self.shard_timeout <= 0:
             raise ValueError("shard_timeout must be positive")
         if self.max_shard_restarts < 0:

@@ -378,9 +378,8 @@ class FleetEngine:
         #: cell name -> (failure order, state signature, dirty generation)
         #: at last worker sync.
         self._sync: dict[str, tuple[tuple[str, ...], tuple, int]] = {}
-        #: Test hook: worker-fault injection handed to the pool at creation —
-        #: the legacy (shard index, nth command) kill tuple or a composable
-        #: repro.chaos.infra.FaultPlan (see repro.fleet.pool.ShardPool).
+        #: Test hook: a repro.chaos.infra.FaultPlan handed to the pool at
+        #: creation (see repro.fleet.pool.ShardPool).
         self._shard_fault: object | None = None
         #: Test hook: ShardPool substitute (the infra-chaos fuzzer plants
         #: deliberately broken supervisors through this).
@@ -428,8 +427,7 @@ class FleetEngine:
         """One fleet round: per-cell reconciles, then cross-cell spillover.
 
         ``workers`` > 1 shards the per-cell rounds across persistent worker
-        processes (or threads, with ``config.executor="thread"``); the
-        merged outcome is byte-identical to a serial round (worker results
+        processes; the merged outcome is byte-identical to a serial round (worker results
         are folded back in cell order, and the federation phase always runs
         in the parent).  ``force`` forces every cell's round.
 
@@ -511,22 +509,9 @@ class FleetEngine:
         )
 
     def _phase_cells(self, force: bool, workers: int) -> list[ReconcileReport]:
-        """Per-cell rounds, serial, threaded or sharded; results in cell order."""
+        """Per-cell rounds, serial or sharded; results in cell order."""
         if workers <= 1 or len(self.cells) == 1:
             return [cell.engine.reconcile(cell.backend, force=force) for cell in self.cells]
-        if self.config.executor == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            # In-process: no serialization, no mirroring, each task owns one
-            # cell.  map() preserves cell order, so the fold-back is
-            # identical to the serial loop's.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(
-                    pool.map(
-                        lambda cell: cell.engine.reconcile(cell.backend, force=force),
-                        self.cells,
-                    )
-                )
         return self._phase_cells_pooled(force, workers)
 
     def _ensure_pool(self, workers: int):
@@ -540,7 +525,6 @@ class FleetEngine:
             self._pool = pool_class(
                 self.cells,
                 workers=workers,
-                codec=self.config.codec,
                 fault=self._shard_fault,
                 supervisor=self.config.supervisor_config(),
                 on_event=self.events.emit,

@@ -6,8 +6,7 @@ fleet surfaces — :meth:`repro.fleet.engine.FleetEngine.reconcile` and
 round-robin shard of the fleet's cells (``cells[w::workers]``) for the
 pool's whole lifetime: engines, backends and cluster states are shipped
 exactly once, at start.  Afterwards only compact per-round payloads cross
-the pipe, encoded by the :mod:`repro.fleet.wire` codec (or pickle, by
-config):
+the pipe, encoded by the :mod:`repro.fleet.wire` codec:
 
 * **replay protocol** — trace events out, summaries back (``step``), with
   optional multi-step batching (``batch`` / ``rewind``) and the spillover
@@ -34,7 +33,7 @@ pool's :class:`~repro.fleet.config.SupervisorConfig`:
   (:class:`~repro.fleet.events.ShardDegraded`).
 * **unsupervised** (``supervisor=None``) — any worker fault surfaces as
   one clear :exc:`ShardFailure` naming the lost cells, never as a hang or
-  a partial fold-back (legacy fail-fast semantics).
+  a partial fold-back (fail-fast semantics).
 
 Restart correctness rests on one asymmetry between the two protocols.  In
 the reconcile protocol the parent's cell states are *authoritative* before
@@ -51,9 +50,8 @@ the new baseline, and truncates the journal.  Either way the
 re-executed work runs the exact same code over the exact same inputs as a
 fault-free round.
 
-``fault`` injects worker faults deterministically for the failure tests —
-either the legacy ``(shard, nth-command)`` kill tuple or a composable
-:class:`~repro.chaos.infra.FaultPlan` (kill / hang / corrupt-frame, per
+``fault`` injects worker faults deterministically for the failure tests:
+a :class:`~repro.chaos.infra.FaultPlan` (kill / hang / corrupt-frame, per
 incarnation).
 
 The pool keeps cumulative per-phase wall-clock in :attr:`phase_seconds`
@@ -77,7 +75,7 @@ from repro.core.controller import StateBackend
 from repro.fleet.config import SupervisorConfig
 from repro.fleet.engine import Cell, adjust_cells, step_cells
 from repro.fleet.events import ShardDegraded, ShardRestarted
-from repro.fleet.wire import WireError, resolve_codec
+from repro.fleet.wire import WireError, dumps, loads
 
 
 class ShardFailure(RuntimeError):
@@ -259,7 +257,7 @@ def _traced_handle(server: _ShardServer, message: tuple, parent_id: str, prefix:
     return data, tuple(tracer.drain())
 
 
-def _shard_main(conn, payload: list, seed: int, codec: str, faults) -> None:
+def _shard_main(conn, payload: list, seed: int, faults) -> None:
     """Worker process: owns a shard of cells for the pool's lifetime.
 
     Protocol: every parent message is a tuple whose first element is the
@@ -277,7 +275,6 @@ def _shard_main(conn, payload: list, seed: int, codec: str, faults) -> None:
     ``hang`` ignores SIGTERM and sleeps past any deadline, ``corrupt``
     damages the Nth reply frame after executing the command.
     """
-    dumps, loads = resolve_codec(codec)
     server = _ShardServer(payload, seed)
     fault_at = {nth: (kind, mode) for kind, nth, mode in faults or ()}
     commands = 0
@@ -343,28 +340,6 @@ def _corrupt_frame(frame: bytes, mode: str) -> bytes:
     damaged = bytearray(frame)
     damaged[len(damaged) // 2] ^= 0x40
     return bytes(damaged)
-
-
-class _LegacyFault:
-    """Adapter for the original ``(shard, nth-command)`` kill tuple."""
-
-    def __init__(self, shard: int, nth: int) -> None:
-        self.shard = shard
-        self.nth = nth
-
-    def for_shard(self, shard: int, incarnation: int) -> list[tuple]:
-        if shard != self.shard:
-            return []
-        return [("kill", self.nth, "")]
-
-
-def _resolve_fault(fault):
-    if fault is None:
-        return None
-    if hasattr(fault, "for_shard"):
-        return fault
-    shard, nth = fault
-    return _LegacyFault(shard, nth)
 
 
 class _Shard:
@@ -543,16 +518,13 @@ class ShardPool:
         Seed for randomized ``capacity`` trace events (replay protocol).
     workers:
         Shard count; capped at the cell count by the caller.
-    codec:
-        Message encoding — ``"wire"`` (compact, default) or ``"pickle"``.
     fault:
-        Test hook — the legacy ``(shard index, nth command)`` kill tuple,
-        or any object with ``for_shard(shard, incarnation)`` returning
-        ``(kind, nth, mode)`` worker-fault tuples (see
+        Test hook — any object with ``for_shard(shard, incarnation)``
+        returning ``(kind, nth, mode)`` worker-fault tuples (see
         :class:`~repro.chaos.infra.FaultPlan`).
     supervisor:
         :class:`~repro.fleet.config.SupervisorConfig` enabling the
-        self-healing restart/degrade machinery, or ``None`` for legacy
+        self-healing restart/degrade machinery, or ``None`` for
         fail-fast :exc:`ShardFailure` semantics.
     on_event:
         Optional callback receiving :class:`~repro.fleet.events.ShardRestarted`
@@ -580,16 +552,13 @@ class ShardPool:
         *,
         seed: int = 0,
         workers: int,
-        codec: str = "wire",
         fault=None,
         supervisor: SupervisorConfig | None = None,
         on_event: Callable | None = None,
     ) -> None:
         import multiprocessing as mp
 
-        self._dumps, self._loads = resolve_codec(codec)  # fail fast on bad names
         self._context = mp.get_context()
-        self.codec = codec
         self.order = [cell.name for cell in cells]
         self.phase_seconds = {"ship": 0.0, "wait": 0.0}
         self.last_reply_bytes = 0
@@ -598,7 +567,7 @@ class ShardPool:
         self._cells = {cell.name: cell for cell in cells}
         self._seed = seed
         self._protocol = "replay"
-        self._fault = _resolve_fault(fault)
+        self._fault = fault
         self._on_event = on_event
         self.supervisor = (
             ShardSupervisor(self, supervisor) if supervisor is not None else None
@@ -640,7 +609,7 @@ class ShardPool:
         )
         process = self._context.Process(
             target=_shard_main,
-            args=(child_conn, payload, self._seed, self.codec, faults),
+            args=(child_conn, payload, self._seed, faults),
             daemon=True,
         )
         process.start()
@@ -650,7 +619,7 @@ class ShardPool:
 
     def _send(self, shard: _Shard, message: tuple) -> None:
         try:
-            shard.conn.send_bytes(self._dumps(message))
+            shard.conn.send_bytes(dumps(message))
         except (BrokenPipeError, OSError) as exc:
             raise _ShardDown(
                 f"fleet shard worker died mid-round (cells {shard.names}): {exc!r}"
@@ -678,7 +647,7 @@ class ShardPool:
             ) from exc
         self.last_reply_bytes += len(raw)
         try:
-            reply = self._loads(raw)
+            reply = loads(raw)
             if len(reply) == 3 and reply[0] == "ok":
                 # Traced reply: the third element is the worker's finished
                 # spans; fold them into the parent's tree and hand callers
@@ -1025,7 +994,7 @@ class ShardPool:
         shards = [s for s in self._shards if s.remote and s.process is not None]
         for shard in shards:
             try:
-                shard.conn.send_bytes(self._dumps(("stop",)))
+                shard.conn.send_bytes(dumps(("stop",)))
             except (BrokenPipeError, OSError):
                 pass
             shard.conn.close()

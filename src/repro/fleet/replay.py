@@ -8,27 +8,26 @@ the same timestamp across cells form one step (that is what makes
 correlated cross-cell storms a single fleet round), followed by per-cell
 reconciles and the fleet's spillover phase.
 
-Three executors implement the per-cell work behind one protocol:
+Two executors implement the per-cell work behind one protocol:
 
-* serial — the fleet's own cells, in process;
-* ``executor="thread"`` — a thread pool over the fleet's own cells: no
-  serialization at all, for small fleets where process overhead dominates;
-* ``executor="process"`` (default for ``workers`` > 1) — a persistent
+* serial (``workers`` = 1) — the fleet's own cells, in process;
+* sharded (``workers`` > 1) — a persistent
   :class:`~repro.fleet.pool.ShardPool`: each worker process *owns* a
   round-robin shard of the cells for the whole replay.  States cross the
   process boundary once (at start); afterwards only trace events travel
   out and compact :class:`~repro.fleet.summary.CellSummary` objects travel
   back — wire-encoded (:mod:`repro.fleet.wire`) and **batched**: quiet
   stretches of the timeline ship K steps per round trip, with K auto-tuned
-  from observed payload sizes (or pinned via ``batch_steps``).  When the
-  parent's per-step fold finds a spillover round mid-batch, the shards
-  rewind to that step before adjusting, so batching never changes output.
+  from observed payload sizes (:data:`BATCH_TARGET_BYTES`, capped at
+  :data:`BATCH_MAX_STEPS`).  When the parent's per-step fold finds a
+  spillover round mid-batch, the shards rewind to that step before
+  adjusting, so batching never changes output.
 
 All federation decisions (spillover planning, release, events, metrics)
-happen in the parent from the summaries, which every executor builds with
+happen in the parent from the summaries, which both executors build with
 the same code over the same states — the replay JSONL is therefore
-**byte-identical** for every (executor, worker count, codec, batch size)
-combination, the property the fleet CI gate asserts.
+**byte-identical** for every worker count and batch size, the property
+the fleet CI gate asserts.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import Mapping
 from repro import obs
 from repro.traces.schema import Trace, TraceError
 
-from repro.fleet.engine import adjust_cells, step_cells
+from repro.fleet.engine import step_cells
 from repro.fleet.events import CellEvent, CellReconciled
 from repro.fleet.pool import ShardPool
 from repro.fleet.summary import (
@@ -198,79 +197,17 @@ class _LocalExecutor:
         pass
 
 
-class _ThreadExecutor:
-    """Thread-pool executor over the fleet's own cells (opt-in).
-
-    Each task owns a disjoint round-robin cell shard, so there is no shared
-    mutable state between tasks; results fold back in fleet cell order.  No
-    IPC, no codec, no state shipping — the executor for fleets whose cells
-    are too small to amortize process overhead.  Summaries come from the
-    same :func:`step_cells` / :func:`adjust_cells` helpers, so output is
-    byte-identical to the serial and process paths.
-    """
-
-    batching = False
-
-    def __init__(self, fleet, seed: int, workers: int) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._fleet = fleet
-        self._seed = seed
-        self._shards = [fleet.cells[w::workers] for w in range(workers)]
-        self._shards = [shard for shard in self._shards if shard]
-        self._pool = ThreadPoolExecutor(max_workers=len(self._shards))
-
-    def step(
-        self, events_by_cell: Mapping[str, list], force: bool, with_events: bool
-    ) -> list[CellSummary]:
-        futures = [
-            self._pool.submit(
-                step_cells,
-                shard,
-                {c.name: events_by_cell[c.name] for c in shard if c.name in events_by_cell},
-                self._seed,
-                force,
-                with_events=with_events,
-            )
-            for shard in self._shards
-        ]
-        by_cell = {s.cell: s for future in futures for s in future.result()}
-        return [by_cell[cell.name] for cell in self._fleet.cells]
-
-    def adjust(self, plan) -> tuple[dict[str, CellSummary], list]:
-        removes = [
-            (entry.donor, clone_name(app, cell))
-            for (cell, app), entry in plan.releases
-        ]
-        adds = list(plan.assignments)
-        futures = [
-            self._pool.submit(adjust_cells, shard, removes, adds)
-            for shard in self._shards
-        ]
-        updated: dict[str, CellSummary] = {}
-        failed: list = []
-        for future in futures:
-            summaries, _reports, shard_failed = future.result()
-            updated.update(summaries)
-            failed.extend(shard_failed)
-        return updated, failed
-
-    def close(self) -> None:
-        self._pool.shutdown()
-
-
 class _PoolExecutor:
     """Sharded executor over a persistent :class:`ShardPool` (see pool.py)."""
 
     batching = True
 
-    def __init__(self, fleet, seed: int, workers: int, codec: str) -> None:
+    def __init__(self, fleet, seed: int, workers: int) -> None:
         pool_class = getattr(fleet, "_pool_class", None) or ShardPool
         self.pool = pool_class(
             fleet.cells,
             seed=seed,
             workers=workers,
-            codec=codec,
             fault=getattr(fleet, "_shard_fault", None),
             supervisor=fleet.config.supervisor_config(),
             on_event=fleet.events.emit,
@@ -309,9 +246,9 @@ class FleetReplayer:
     Parameters
     ----------
     fleet:
-        The fleet to drive.  The replay mutates the fleet's cell states in
-        serial and thread modes; with the process executor the states are
-        shipped to the worker shards once and the parent copies go stale
+        The fleet to drive.  A serial replay mutates the fleet's cell
+        states; a sharded one ships the states to the worker shards once
+        and the parent copies go stale
         (the metrics are the product — rebuild the fleet to reuse it
         afterwards).
     seed:
@@ -319,24 +256,14 @@ class FleetReplayer:
     workers:
         Worker shard count; defaults to the fleet config's ``workers``.
         Metrics JSONL is byte-identical for every value.
-    executor:
-        ``"process"`` or ``"thread"``; defaults to the fleet config's
-        ``executor``.  Ignored when ``workers`` is 1.
-    codec:
-        IPC encoding for the process executor (``"wire"``/``"pickle"``);
-        defaults to the fleet config's ``codec``.
-    batch_steps:
-        Steps per IPC round trip for the process executor; defaults to the
-        fleet config's ``batch_steps`` (``0`` = auto-tune from payload
-        size, ``1`` = no batching, ``N`` = cap at N).
     force_each_step:
         Force a planning round in every cell on every step.
 
     After :meth:`run`, :attr:`phase_seconds` holds the wall-clock split of
     the replay — ``ship`` (encoding + sending IPC payloads), ``compute``
     (waiting on per-cell rounds) and ``fold`` (federation planning, event
-    re-emission and metric building in the parent).  Serial and thread
-    executors report zero ``ship``.
+    re-emission and metric building in the parent).  A serial replay
+    reports zero ``ship``.
     """
 
     def __init__(
@@ -345,9 +272,6 @@ class FleetReplayer:
         *,
         seed: int = 0,
         workers: int | None = None,
-        executor: str | None = None,
-        codec: str | None = None,
-        batch_steps: int | None = None,
         force_each_step: bool = False,
     ) -> None:
         self.fleet = fleet
@@ -355,17 +279,6 @@ class FleetReplayer:
         self.workers = fleet.config.workers if workers is None else workers
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        self.executor = fleet.config.executor if executor is None else executor
-        if self.executor not in ("process", "thread"):
-            raise ValueError(
-                f"executor must be 'process' or 'thread', got {self.executor!r}"
-            )
-        self.codec = fleet.config.codec if codec is None else codec
-        self.batch_steps = (
-            fleet.config.batch_steps if batch_steps is None else batch_steps
-        )
-        if self.batch_steps < 0:
-            raise ValueError("batch_steps must be >= 0 (0 = auto-tune)")
         self.force_each_step = force_each_step
         self.phase_seconds = {"ship": 0.0, "compute": 0.0, "fold": 0.0}
 
@@ -399,9 +312,7 @@ class FleetReplayer:
         fleet = self.fleet
         workers = min(self.workers, len(fleet.cells))
         if workers > 1 and len(fleet.cells) > 1:
-            if self.executor == "thread":
-                return _ThreadExecutor(fleet, self.seed, workers)
-            return _PoolExecutor(fleet, self.seed, workers, self.codec)
+            return _PoolExecutor(fleet, self.seed, workers)
         return _LocalExecutor(fleet, self.seed)
 
     def _next_batch(self, current: int, adjusted: bool, last_step_bytes: float) -> int:
@@ -410,18 +321,13 @@ class FleetReplayer:
         Resets to 1 whenever a spillover round interrupted the last batch
         (turbulent stretches plan federation every step — batching would
         just rewind), then ramps exponentially through quiet stretches up
-        to the configured cap, or to an auto-tuned cap that keeps replies
-        near :data:`BATCH_TARGET_BYTES`.
+        to a cap that keeps replies near :data:`BATCH_TARGET_BYTES`, never
+        above :data:`BATCH_MAX_STEPS`.
         """
         if adjusted:
             return 1
-        if self.batch_steps == 1:
-            return 1
-        if self.batch_steps > 1:
-            cap = self.batch_steps
-        else:
-            per_step = max(1.0, last_step_bytes)
-            cap = max(1, min(BATCH_MAX_STEPS, int(BATCH_TARGET_BYTES / per_step)))
+        per_step = max(1.0, last_step_bytes)
+        cap = max(1, min(BATCH_MAX_STEPS, int(BATCH_TARGET_BYTES / per_step)))
         return min(current * 2, cap)
 
     def run(self, scenario: Mapping[str, Trace]) -> FleetReplayMetrics:
@@ -582,7 +488,8 @@ class FleetReplayer:
         if registry.enabled:
             registry.counter("fleet.replay.steps").inc(len(metrics.steps))
             # The same per-phase split phase_seconds reports, as registry
-            # histograms — bench_fleet reads its phase columns from here.
+            # histograms; the e2e benchmark's fleet_outage workload reads
+            # phase_seconds for its ship/compute/fold split.
             for phase, seconds in self.phase_seconds.items():
                 registry.histogram(f"fleet.phase.{phase}_seconds").observe(seconds)
         return metrics

@@ -441,31 +441,3 @@ def loads(data: bytes):
         )
     return value
 
-
-# -- codec selection -----------------------------------------------------------
-def _pickle_dumps(obj) -> bytes:
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _pickle_loads(data: bytes):
-    try:
-        return pickle.loads(data)
-    except Exception as exc:
-        raise WireError(f"corrupt pickle frame: {exc!r}") from exc
-
-
-def resolve_codec(name: str):
-    """``(dumps, loads)`` for a codec name — ``"wire"`` or ``"pickle"``.
-
-    Both sides of a pipe resolve the same name, so the frames always match;
-    the pickle codec is the escape hatch for payload types the wire schema
-    does not cover natively (it costs bytes, not correctness — wire embeds
-    pickle frames for unknown types anyway).  Either codec surfaces a
-    damaged frame as :exc:`WireError`, so the shard pool's corrupt-reply
-    recovery path is codec-agnostic.
-    """
-    if name == "wire":
-        return dumps, loads
-    if name == "pickle":
-        return _pickle_dumps, _pickle_loads
-    raise ValueError(f"unknown fleet codec {name!r} (choose 'wire' or 'pickle')")

@@ -77,11 +77,10 @@ def resolve_clock(spec: str | None = None):
 
 
 def host_block(workers: int | None = None) -> dict:
-    """The shared host-metadata block every BENCH_*.json row carries.
+    """The shared host-metadata block benchmark records carry.
 
-    ``underprovisioned`` mirrors bench_fleet's original meaning: the run
-    asked for more workers than the host has cores, so parallel speedup
-    gates should not be trusted.
+    ``underprovisioned`` means the run asked for more workers than the
+    host has cores, so parallel speedups should not be trusted.
     """
     cores = os.cpu_count() or 1
     return {

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.api as api
 from repro.cluster import Node, Resources
 from repro.cluster.state import ClusterState, ReplicaId
 from repro.core.controller import PhoenixController, StateBackend
@@ -18,7 +19,9 @@ def backend(simple_app, second_app):
 
 @pytest.fixture
 def controller(backend):
-    return PhoenixController(backend, RevenueObjective(), monitor_interval=15.0)
+    return PhoenixController(
+        backend, engine=api.engine(RevenueObjective()), monitor_interval=15.0
+    )
 
 
 class TestStateBackend:
@@ -48,7 +51,9 @@ class TestStateBackend:
 class TestController:
     def test_invalid_monitor_interval_rejected(self, backend):
         with pytest.raises(ValueError):
-            PhoenixController(backend, RevenueObjective(), monitor_interval=0)
+            PhoenixController(
+                backend, engine=api.engine(RevenueObjective()), monitor_interval=0
+            )
 
     def test_first_reconcile_places_everything(self, controller, backend):
         report = controller.reconcile(force=True)

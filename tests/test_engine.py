@@ -299,9 +299,7 @@ class TestLegacyEquivalence:
             return ClusterState(nodes=nodes, applications=[simple_app, second_app])
 
         legacy_state, engine_state = fresh(), fresh()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            controller = PhoenixController(StateBackend(legacy_state), RevenueObjective())
+        controller = PhoenixController(StateBackend(legacy_state), engine=engine("revenue"))
         eng = engine("revenue")
 
         for round_index in range(3):
@@ -393,35 +391,55 @@ class TestLegacyEquivalence:
             eng.plan(state)
 
 
-# -- deprecation shims ----------------------------------------------------------------
+# -- constructors ----------------------------------------------------------------------
 
 
-class TestDeprecationShims:
-    def test_legacy_controller_constructor_warns_but_works(self, state):
-        with pytest.warns(DeprecationWarning, match="PhoenixController"):
-            controller = PhoenixController(StateBackend(state), RevenueObjective())
-        report = controller.reconcile(force=True)
-        assert report.triggered and report.actions_executed > 0
-
+class TestConstructors:
     def test_controller_with_engine_does_not_warn(self, state):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             controller = PhoenixController(StateBackend(state), engine=engine("revenue"))
         assert controller.reconcile(force=True).triggered
 
-    def test_controller_requires_exactly_one_of_objective_engine(self, state):
+    def test_controller_requires_engine_keyword(self, state):
         backend = StateBackend(state)
         with pytest.raises(TypeError):
             PhoenixController(backend)
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                PhoenixController(backend, RevenueObjective(), engine=engine("revenue"))
+            PhoenixController(backend, RevenueObjective())
 
-    def test_legacy_phoenix_scheme_constructor_warns_but_works(self, state):
+    @pytest.mark.parametrize(
+        "keyword,value",
+        [
+            ("objective", RevenueObjective()),
+            ("allow_migration", False),
+            ("allow_deletion", False),
+        ],
+        ids=["objective", "allow_migration", "allow_deletion"],
+    )
+    def test_controller_rejects_pre_engine_keywords(self, state, keyword, value):
+        # Objective and stage switches live on the engine, not the loop.
+        with pytest.raises(TypeError):
+            PhoenixController(
+                StateBackend(state), engine=engine("revenue"), **{keyword: value}
+            )
+
+    def test_controller_exposes_engine_only(self, state):
+        eng = engine("revenue")
+        controller = PhoenixController(StateBackend(state), engine=eng)
+        assert controller.engine is eng
+        assert not hasattr(controller, "planner")
+        assert not hasattr(controller, "scheduler")
+
+    def test_phoenix_scheme_exposes_engine_only(self):
+        scheme = PhoenixCostScheme()
+        assert isinstance(scheme.engine, PhoenixEngine)
+        assert not hasattr(scheme, "planner")
+        assert not hasattr(scheme, "scheduler")
+
+    def test_phoenix_scheme_over_engine_works(self, state):
         state.fail_nodes(["n0"])
-        with pytest.warns(DeprecationWarning, match="PhoenixScheme"):
-            scheme = PhoenixScheme(RevenueObjective())
+        scheme = PhoenixScheme(engine=engine(RevenueObjective()))
         assert scheme.name == "phoenix-revenue"
         new_state, seconds = scheme.respond(state)
         assert seconds >= 0
@@ -434,11 +452,6 @@ class TestDeprecationShims:
             PhoenixFairScheme()
             PriorityScheme()
             FairScheme()
-
-    def test_scheme_legacy_component_views(self):
-        scheme = PhoenixCostScheme()
-        assert isinstance(scheme.planner, PhoenixPlanner)
-        assert scheme.scheduler is scheme.engine
 
 
 # -- controller as a thin loop ---------------------------------------------------------

@@ -21,9 +21,16 @@ from pathlib import Path
 import pytest
 
 import repro.api as api
+import repro.fleet.replay
 from repro.adaptlab import build_environment
 from repro.apps import build_hotel_reservation, build_overleaf
-from repro.chaos import check_equivalence, run_cell_outage_check, verify_invariants
+from repro.chaos import (
+    FaultPlan,
+    WorkerFault,
+    check_equivalence,
+    run_cell_outage_check,
+    verify_invariants,
+)
 from repro.cluster import ClusterState, Node, Resources
 from repro.fleet import (
     CellDegraded,
@@ -70,6 +77,11 @@ def _three_cell_fleet(**config_kwargs) -> FleetEngine:
         _template_cell(build_overleaf),
     ]
     return FleetEngine(FleetConfig(cells=3, **config_kwargs), states=states)
+
+
+def _kill_fault(shard: int, nth: int) -> FaultPlan:
+    """Kill ``shard`` on its ``nth`` received command, in every incarnation."""
+    return FaultPlan(workers=(WorkerFault("kill", shard, nth, incarnations=None),))
 
 
 def _report_fingerprint(report):
@@ -222,6 +234,18 @@ class TestFleetConfig:
         with pytest.raises(ValueError, match="unknown EngineConfig"):
             FleetConfig(cells=2, cell_overrides={"cell-0": {"bogus_field": 1}})
 
+    @pytest.mark.parametrize("field", ["executor", "codec", "batch_steps"])
+    def test_no_ipc_knobs(self, field):
+        # One executor (processes), one codec (wire), auto-tuned batches.
+        with pytest.raises(TypeError):
+            FleetConfig(cells=2, **{field: None})
+        fleet = _three_cell_fleet()
+        try:
+            with pytest.raises(TypeError):
+                FleetReplayer(fleet, workers=2, **{field: None})
+        finally:
+            fleet.close()
+
     def test_engine_validation_still_applies(self):
         with pytest.raises(ValueError):
             FleetConfig(cells=0)
@@ -296,19 +320,11 @@ class TestWorkerEquivalence:
     round mid-run to exercise the competing-dirty-consumer guard.
     """
 
-    @pytest.mark.parametrize(
-        "seed,executor,codec",
-        [
-            (0, "process", "wire"),
-            (1, "process", "wire"),
-            (0, "process", "pickle"),
-            (0, "thread", "wire"),
-        ],
-    )
-    def test_reconcile_lockstep_fuzz(self, seed, executor, codec):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reconcile_lockstep_fuzz(self, seed):
         rng = random.Random(seed)
         serial = _three_cell_fleet()
-        parallel = _three_cell_fleet(executor=executor, codec=codec)
+        parallel = _three_cell_fleet()
         try:
             serial.reconcile(force=True)
             parallel.reconcile(force=True, workers=4)
@@ -368,16 +384,18 @@ class TestWorkerEquivalence:
             parallel.close()
 
     @pytest.mark.parametrize(
-        "executor,codec,batch_steps",
+        "max_steps",
         [
-            ("process", "wire", 0),  # auto-tuned batching (the default)
-            ("process", "wire", 1),  # batching off
-            ("process", "wire", 3),  # fixed small batches
-            ("process", "pickle", 0),
-            ("thread", "wire", 0),
+            repro.fleet.replay.BATCH_MAX_STEPS,  # auto-tuned batching
+            1,  # batching off
+            3,  # small batches: frequent mid-batch rewinds
         ],
+        ids=["auto", "off", "small"],
     )
-    def test_replayer_serial_equals_sharded(self, executor, codec, batch_steps):
+    def test_replayer_serial_equals_sharded(self, monkeypatch, max_steps):
+        # The batch size is chosen in the parent (_next_batch), so capping
+        # it here drives the sharded path through every batching regime.
+        monkeypatch.setattr(repro.fleet.replay, "BATCH_MAX_STEPS", max_steps)
         scenario = fleet_scenario(
             3,
             24,
@@ -392,7 +410,7 @@ class TestWorkerEquivalence:
             seed=6,
         )
 
-        def run(workers, **kwargs):
+        def run(workers):
             states = [
                 build_environment(node_count=24, n_apps=3, seed=21 + i).fresh_state()
                 for i in range(3)
@@ -400,16 +418,12 @@ class TestWorkerEquivalence:
             fleet = FleetEngine(FleetConfig(cells=3), states=states)
             fleet.reconcile(force=True)
             try:
-                return FleetReplayer(fleet, seed=2, workers=workers, **kwargs).run(
-                    scenario
-                )
+                return FleetReplayer(fleet, seed=2, workers=workers).run(scenario)
             finally:
                 fleet.close()
 
         serial = run(1)
-        sharded = run(
-            3, executor=executor, codec=codec, batch_steps=batch_steps
-        )
+        sharded = run(3)
         assert serial.to_jsonl() == sharded.to_jsonl()
         assert len(serial) > 0
 
@@ -433,7 +447,7 @@ class TestShardFailure:
 
         fleet = _three_cell_fleet(supervise=False)
         try:
-            fleet._shard_fault = (0, 2)  # shard 0 dies on its 2nd command
+            fleet._shard_fault = _kill_fault(0, 2)  # shard 0 dies on its 2nd command
             fleet.reconcile(force=True, workers=2)  # command 1: survives
             before = [_state_fingerprint(cell.state) for cell in fleet.cells]
             with pytest.raises(ShardFailure, match="died mid-round"):
@@ -457,7 +471,7 @@ class TestShardFailure:
         ]
         fleet = FleetEngine(FleetConfig(cells=3, supervise=False), states=states)
         fleet.reconcile(force=True)
-        fleet._shard_fault = (0, 3)
+        fleet._shard_fault = _kill_fault(0, 3)
         try:
             with pytest.raises(ShardFailure, match="died mid-round|pipe closed"):
                 FleetReplayer(fleet, seed=2, workers=2).run(scenario)
@@ -474,7 +488,7 @@ class TestShardFailure:
         restarts = []
         fleet.events.subscribe(restarts.append, ShardRestarted)
         try:
-            fleet._shard_fault = (0, 2)  # shard 0 dies on its 2nd command
+            fleet._shard_fault = _kill_fault(0, 2)  # shard 0 dies on its 2nd command
             fleet.reconcile(force=True, workers=2)
             twin.reconcile(force=True)
             for target in (fleet, twin):
@@ -504,9 +518,9 @@ class TestShardFailure:
         fleet.events.subscribe(restarts.append, ShardRestarted)
         fleet.events.subscribe(degraded.append, ShardDegraded)
         try:
-            # The legacy fault kills on the Nth command of *every*
-            # incarnation, so shard 0 can never complete a round remotely.
-            fleet._shard_fault = (0, 1)
+            # The fault kills on the Nth command of *every* incarnation,
+            # so shard 0 can never complete a round remotely.
+            fleet._shard_fault = _kill_fault(0, 1)
             report = fleet.reconcile(force=True, workers=2)
             twin_report = twin.reconcile(force=True)
             assert len(restarts) == 1, "one restart before the budget ran out"
@@ -528,7 +542,7 @@ class TestShardFailure:
 
         fleet = _three_cell_fleet()
         fleet.reconcile(force=True)
-        pool = ShardPool(fleet.cells, workers=2, fault=(1, 1))
+        pool = ShardPool(fleet.cells, workers=2, fault=_kill_fault(1, 1))
         try:
             deltas = {
                 cell.name: ("delta", (), (), cell.state.health_aggregates())
@@ -687,6 +701,34 @@ class TestSpillover:
 
 
 # -- fleet replay ---------------------------------------------------------------
+
+
+class TestReplayBatching:
+    """The IPC batch size is auto-tuned from two module constants only."""
+
+    @pytest.fixture
+    def replayer(self):
+        fleet = _three_cell_fleet()
+        try:
+            yield FleetReplayer(fleet, workers=2)
+        finally:
+            fleet.close()
+
+    def test_spillover_resets_batch_to_one(self, replayer):
+        assert replayer._next_batch(16, adjusted=True, last_step_bytes=10.0) == 1
+
+    def test_quiet_stretch_doubles_up_to_max_steps(self, replayer, monkeypatch):
+        monkeypatch.setattr(repro.fleet.replay, "BATCH_MAX_STEPS", 8)
+        sizes = [1]
+        for _ in range(5):
+            sizes.append(replayer._next_batch(sizes[-1], False, 10.0))
+        assert sizes == [1, 2, 4, 8, 8, 8]
+
+    def test_large_steps_cap_batch_by_target_bytes(self, replayer):
+        target = repro.fleet.replay.BATCH_TARGET_BYTES
+        assert replayer._next_batch(16, False, target / 4) == 4
+        # A step bigger than the whole target still ships one step a trip.
+        assert replayer._next_batch(16, False, target * 10) == 1
 
 
 class TestFleetReplay:

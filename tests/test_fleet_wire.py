@@ -21,7 +21,7 @@ from repro.core.plan import ActionKind, ActivationPlan, RankedMicroservice, Sche
 from repro.fleet import wire
 from repro.fleet.spillover import DonorCapacity, MsSpec, SpilloverAssignment
 from repro.fleet.summary import CellSummary
-from repro.fleet.wire import WireError, dumps, loads, resolve_codec
+from repro.fleet.wire import WireError, dumps, loads
 from repro.traces.schema import CapacityTarget, LoadChange, NodeFailure, NodeRecovery
 
 
@@ -267,14 +267,3 @@ class TestCorruptionFuzz:
             with pytest.raises(WireError):
                 loads(bytes(frame))
 
-
-class TestResolveCodec:
-    def test_known_codecs(self):
-        wire_dumps, wire_loads = resolve_codec("wire")
-        assert wire_loads(wire_dumps(("ok", 1))) == ("ok", 1)
-        pickle_dumps, pickle_loads = resolve_codec("pickle")
-        assert pickle_loads(pickle_dumps(("ok", 1))) == ("ok", 1)
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError, match="codec"):
-            resolve_codec("msgpack")

@@ -8,6 +8,7 @@ headline qualitative claims on a scaled-down cluster.
 
 import pytest
 
+import repro.api as api
 from repro.apps import LoadGenerator, MultiAppLoadRecorder, cloudlab_workload
 from repro.cluster.resources import Resources
 from repro.core import FairnessObjective, PhoenixController, RevenueObjective
@@ -58,7 +59,7 @@ class TestPhoenixUnderFailure:
         cluster, workload = build_cloudlab_cluster()
         cluster.step(120)
         backend = PhoenixKubeBackend(cluster)
-        controller = PhoenixController(backend, objective)
+        controller = PhoenixController(backend, engine=api.engine(objective))
         controller.reconcile()
 
         # Fail 14 of 25 nodes -> 44 % of capacity remains.

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.api as api
 from repro.cluster import Application, Resources
 from repro.core import PhoenixController, RevenueObjective
 from repro.kubesim import KubeCluster, KubeClusterConfig, PhoenixKubeBackend
@@ -107,7 +108,7 @@ class TestPhoenixIntegration:
         cluster.deploy_application(small_app())
         cluster.step(60)
         backend = PhoenixKubeBackend(cluster)
-        controller = PhoenixController(backend, RevenueObjective())
+        controller = PhoenixController(backend, engine=api.engine(RevenueObjective()))
         controller.reconcile()  # learn steady state
         cluster.fail_nodes(["node-0", "node-1"])
         cluster.step(150)       # detection + eviction
@@ -123,7 +124,7 @@ class TestPhoenixIntegration:
         cluster.deploy_application(small_app())
         cluster.step(60)
         backend = PhoenixKubeBackend(cluster)
-        controller = PhoenixController(backend, RevenueObjective())
+        controller = PhoenixController(backend, engine=api.engine(RevenueObjective()))
         controller.reconcile()
         cluster.fail_nodes(["node-0", "node-1"])
         cluster.step(150)

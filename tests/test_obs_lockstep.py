@@ -26,6 +26,7 @@ import pytest
 
 from repro import obs
 from repro.adaptlab import build_environment
+from repro.chaos import FaultPlan, WorkerFault
 from repro.fleet import FleetConfig, FleetEngine, FleetReplayer
 from repro.serve import (
     ControlPlane,
@@ -140,7 +141,9 @@ def _supervised_restart_rounds() -> list:
     restarts it mid-round) — the recovery path must stay untraced-compatible."""
     fleet = _build_fleet(shard_backoff=0.0)
     try:
-        fleet._shard_fault = (0, 2)
+        fleet._shard_fault = FaultPlan(
+            workers=(WorkerFault("kill", 0, 2, incarnations=None),)
+        )
         fleet.reconcile(force=True, workers=2)
         for cell in (0, 1):
             fleet.cells[cell].state.fail_nodes([f"node-{cell + 1}"])
