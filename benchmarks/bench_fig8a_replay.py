@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.adaptlab import (
-    CapacityTrace,
     DefaultScheme,
     FairScheme,
     PhoenixCostScheme,
@@ -20,6 +19,7 @@ from repro.adaptlab import (
     build_environment,
     replay_capacity_trace,
 )
+from repro.traces import from_capacity_points, paper_profile_fractions
 
 
 @pytest.mark.benchmark(group="fig8a")
@@ -33,7 +33,8 @@ def test_fig8a_capacity_replay(benchmark, alibaba_apps, bench_scale):
         seed=2025,
     )
     schemes = [PhoenixCostScheme(), PhoenixFairScheme(), PriorityScheme(), FairScheme(), DefaultScheme()]
-    trace = CapacityTrace.paper_profile(steps=20)
+    points = [(i * 30.0, f) for i, f in enumerate(paper_profile_fractions(steps=20))]
+    trace = from_capacity_points(points)
 
     result = benchmark.pedantic(
         replay_capacity_trace, args=(env, schemes), kwargs={"trace": trace}, rounds=1, iterations=1
@@ -41,11 +42,10 @@ def test_fig8a_capacity_replay(benchmark, alibaba_apps, bench_scale):
 
     print("\n=== Figure 8(a): requests served over time ===")
     print(f"{'time':<8}{'capacity':<10}" + "".join(s.name.ljust(15) for s in schemes))
-    capacities = {p.time: p.available_fraction for p in trace}
     series = {s.name: dict(result.series(s.name)) for s in schemes}
-    for point in trace:
-        row = f"{point.time:<8.0f}{capacities[point.time]:<10.2f}"
-        row += "".join(f"{series[s.name][point.time]:<15.3f}" for s in schemes)
+    for time, capacity in points:
+        row = f"{time:<8.0f}{capacity:<10.2f}"
+        row += "".join(f"{series[s.name][time]:<15.3f}" for s in schemes)
         print(row)
 
     improvement_fair = result.improvement("phoenix-cost", "fair")

@@ -8,17 +8,15 @@ subsystem: the capacity profile is a :class:`repro.traces.schema.Trace` of
 ``capacity`` events and each scheme is driven through
 :class:`repro.traces.replayer.TraceReplayer`.
 
-:class:`CapacityTrace` is the legacy in-memory form of a capacity profile;
-it round-trips to the schema via :meth:`CapacityTrace.to_trace` /
-:meth:`CapacityTrace.from_trace`, and its :meth:`paper_profile` shares its
-math with :func:`repro.traces.alibaba.paper_capacity_trace` so the two
-representations can never drift.
+The default profile is Figure 8a's
+(:func:`repro.traces.alibaba.paper_profile_fractions`), passed through
+unrounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.adaptlab.baselines import ResilienceScheme
 from repro.adaptlab.cluster_env import AdaptLabEnvironment
@@ -29,66 +27,6 @@ from repro.traces.alibaba import (
 )
 from repro.traces.replayer import TraceReplayer
 from repro.traces.schema import Trace
-
-
-@dataclass(frozen=True, slots=True)
-class CapacityTracePoint:
-    """Available capacity fraction at one timestep."""
-
-    time: float
-    available_fraction: float
-
-
-@dataclass
-class CapacityTrace:
-    """A time series of available capacity fractions.
-
-    The legacy, capacity-only trace form.  New code should prefer the
-    versioned schema (:class:`repro.traces.schema.Trace`, which also
-    carries node-level and load events); this class remains the convenient
-    in-memory view and converts losslessly in both directions.
-    """
-
-    points: list[CapacityTracePoint] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @classmethod
-    def from_fractions(cls, fractions: Sequence[float], step_seconds: float = 30.0) -> "CapacityTrace":
-        return cls(
-            points=[
-                CapacityTracePoint(time=i * step_seconds, available_fraction=f)
-                for i, f in enumerate(fractions)
-            ]
-        )
-
-    @classmethod
-    def paper_profile(cls, steps: int = 20, seed: int = 3, step_seconds: float = 30.0) -> "CapacityTrace":
-        """A ten-minute profile shaped like Figure 8a: a deep failure trough
-        followed by staged recovery, with small jitter."""
-        return cls.from_fractions(
-            paper_profile_fractions(steps=steps, seed=seed), step_seconds=step_seconds
-        )
-
-    def to_trace(self) -> Trace:
-        """This profile as a schema trace of ``capacity`` events (lossless)."""
-        return from_capacity_points(
-            self.points, metadata={"generator": "adaptlab.CapacityTrace"}
-        )
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "CapacityTrace":
-        """The ``capacity`` events of a schema trace as a legacy profile."""
-        return cls(
-            points=[
-                CapacityTracePoint(time=t, available_fraction=f)
-                for t, f in to_capacity_points(trace)
-            ]
-        )
 
 
 @dataclass
@@ -123,27 +61,29 @@ class ReplayResult:
 def replay_capacity_trace(
     env: AdaptLabEnvironment,
     schemes: Iterable[ResilienceScheme],
-    trace: CapacityTrace | Trace | None = None,
+    trace: Trace | None = None,
     seed: int = 0,
 ) -> ReplayResult:
     """Replay a capacity trace against each scheme independently.
 
     Every scheme starts from the same pre-failure state and reacts to the
     same capacity trace; at each step the requests-served fraction is
-    recorded (Figure 8a's y-axis).  ``trace`` may be the legacy
-    :class:`CapacityTrace` or any schema :class:`~repro.traces.schema.Trace`
-    (its ``capacity`` events are replayed); each scheme runs through a
-    :class:`~repro.traces.replayer.TraceReplayer` in AdaptLab (``respond``)
-    mode.
+    recorded (Figure 8a's y-axis).  ``trace`` is any schema
+    :class:`~repro.traces.schema.Trace` (its ``capacity`` events are
+    replayed) and defaults to the Figure-8a profile at 30 s steps; each
+    scheme runs through a :class:`~repro.traces.replayer.TraceReplayer` in
+    AdaptLab (``respond``) mode.
     """
     if trace is None:
-        trace = CapacityTrace.paper_profile()
-    schema_trace = trace if isinstance(trace, Trace) else trace.to_trace()
-    requested = dict(to_capacity_points(schema_trace))
+        trace = from_capacity_points(
+            [(i * 30.0, f) for i, f in enumerate(paper_profile_fractions())],
+            metadata={"generator": "adaptlab.replay_capacity_trace"},
+        )
+    requested = dict(to_capacity_points(trace))
     result = ReplayResult()
     for scheme in schemes:
         replayer = TraceReplayer(scheme, traced=env.traced, seed=seed)
-        metrics = replayer.run(env.fresh_state(), schema_trace)
+        metrics = replayer.run(env.fresh_state(), trace)
         for step in metrics:
             result.points.append(
                 ReplayPoint(

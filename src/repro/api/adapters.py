@@ -26,6 +26,11 @@ class SchemeAdapter:
     """
 
     def __init__(self, engine: PhoenixEngine, name: str | None = None) -> None:
+        if not isinstance(engine, PhoenixEngine):
+            raise TypeError(
+                f"{type(self).__name__} needs a PhoenixEngine, got "
+                f"{type(engine).__name__} (pass engine=api.engine(...))"
+            )
         self.engine = engine
         self.name = name if name is not None else engine.name
 

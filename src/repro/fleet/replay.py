@@ -19,9 +19,9 @@ Two executors implement the per-cell work behind one protocol:
   back — wire-encoded (:mod:`repro.fleet.wire`) and **batched**: quiet
   stretches of the timeline ship K steps per round trip, with K auto-tuned
   from observed payload sizes (:data:`BATCH_TARGET_BYTES`, capped at
-  :data:`BATCH_MAX_STEPS`).  When the parent's per-step fold finds a
-  spillover round mid-batch, the shards rewind to that step before
-  adjusting, so batching never changes output.
+  :data:`BATCH_MAX_STEPS`).  When the parent's per-step fold
+  (:func:`fold_step`) finds a spillover round mid-batch, the shards rewind
+  to that step before adjusting, so batching never changes output.
 
 All federation decisions (spillover planning, release, events, metrics)
 happen in the parent from the summaries, which both executors build with
@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import time as _time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro import obs
 from repro.traces.schema import Trace, TraceError
@@ -165,6 +165,79 @@ class FleetReplayMetrics:
         return "\n".join(lines) + "\n"
 
 
+# -- the fold ------------------------------------------------------------------
+
+
+def fold_step(
+    fleet,
+    time: float,
+    events_by_cell: Mapping[str, list],
+    summaries: list[CellSummary],
+    adjust: Callable[..., tuple[dict[str, CellSummary], list]],
+) -> FleetReplayStep:
+    """Fold one step's cell summaries into the fleet and one step record.
+
+    Bus emissions from the summaries → ``plan_spillover`` → ``adjust(plan)``
+    (only when the plan is non-empty; returns ``(updated summaries, failed
+    assignments)``) → ``commit_spillover`` → one :class:`FleetReplayStep`.
+    :meth:`FleetReplayer.run` and the serve control plane's rounds both
+    run this one function, which is what makes a served session equal to
+    the offline replay of its recorded trace.
+    """
+    bus = fleet.events
+    if bus:
+        for summary in summaries:
+            if summary.failed_nodes:
+                bus.emit(CellEvent(summary.cell, FailureDetected(nodes=summary.failed_nodes)))
+            if summary.recovered_nodes:
+                bus.emit(
+                    CellEvent(summary.cell, RecoveryDetected(nodes=summary.recovered_nodes))
+                )
+            bus.emit(
+                CellReconciled(
+                    cell=summary.cell, triggered=summary.triggered, actions=summary.actions
+                )
+            )
+    plan = fleet.plan_spillover(summaries)
+    updated: dict[str, CellSummary] = {}
+    failed: list = []
+    if plan:
+        updated, failed = adjust(plan)
+    fleet.commit_spillover(plan, failed)
+    final = {s.cell: s for s in summaries}
+    final.update(updated)
+    ordered = [final[name] for name in fleet.cell_names]
+    capacity = sum(s.capacity_cpu for s in ordered)
+    healthy = sum(s.healthy_cpu for s in ordered)
+    return FleetReplayStep(
+        time=time,
+        events=tuple(
+            f"{cell}:{event.kind}"
+            for cell in fleet.cell_names
+            for event in events_by_cell.get(cell, ())
+        ),
+        failed_nodes=sum(s.failed_count for s in ordered),
+        available_fraction=(healthy / capacity if capacity > 0 else 0.0),
+        availability=fleet_availability(ordered, fleet.spillovers),
+        revenue=fleet_revenue(ordered),
+        utilization=fleet_utilization(ordered),
+        degraded_cells=tuple(
+            s.cell
+            for s in ordered
+            if any(
+                not is_clone(app) and (s.cell, app) not in fleet.spillovers
+                for app, _ in s.missing_critical
+            )
+        ),
+        spillovers_planned=len(plan.assignments) - len(failed),
+        spillovers_released=len(plan.releases),
+        spillovers_active=len(fleet.spillovers),
+        triggered=sum(1 for s in summaries if s.triggered),
+        actions=sum(s.actions for s in summaries)
+        + sum(s.actions for s in updated.values()),
+    )
+
+
 # -- executors -----------------------------------------------------------------
 
 
@@ -258,6 +331,10 @@ class FleetReplayer:
         Metrics JSONL is byte-identical for every value.
     force_each_step:
         Force a planning round in every cell on every step.
+
+    Each step's summaries go through :func:`fold_step`, the one fold the
+    serve control plane's rounds also run; this replayer's ``adjust``
+    additionally rewinds a speculated batch before the spillover phase.
 
     After :meth:`run`, :attr:`phase_seconds` holds the wall-clock split of
     the replay — ``ship`` (encoding + sending IPC payloads), ``compute``
@@ -353,6 +430,23 @@ class FleetReplayer:
             }
         )
         executor_seconds = 0.0
+
+        def adjust(plan):
+            nonlocal executor_seconds, adjusted
+            started = _time.perf_counter()
+            if position + 1 < len(chunk):
+                # The batch speculated past a spillover round: roll the
+                # shards back to this step before adjusting, discarding the
+                # overrun.  Output is unchanged — only the speculation is.
+                executor.rewind(position + 1)
+                registry = obs.registry()
+                if registry.enabled:
+                    registry.counter("fleet.replay.rewinds").inc()
+            result = executor.adjust(plan)
+            executor_seconds += _time.perf_counter() - started
+            adjusted = True
+            return result
+
         loop_started = _time.perf_counter()
         tracer = obs.tracer()
         batch = 1
@@ -382,83 +476,9 @@ class FleetReplayer:
                     for position, ((time_point, events_by_cell), summaries) in enumerate(
                         zip(chunk, summaries_list)
                     ):
-                        if bus:
-                            for summary in summaries:
-                                if summary.failed_nodes:
-                                    bus.emit(
-                                        CellEvent(
-                                            summary.cell,
-                                            FailureDetected(nodes=summary.failed_nodes),
-                                        )
-                                    )
-                                if summary.recovered_nodes:
-                                    bus.emit(
-                                        CellEvent(
-                                            summary.cell,
-                                            RecoveryDetected(nodes=summary.recovered_nodes),
-                                        )
-                                    )
-                                bus.emit(
-                                    CellReconciled(
-                                        cell=summary.cell,
-                                        triggered=summary.triggered,
-                                        actions=summary.actions,
-                                    )
-                                )
-                        plan = fleet.plan_spillover(summaries)
-                        updated: dict[str, CellSummary] = {}
-                        failed: list = []
-                        if plan:
-                            started = _time.perf_counter()
-                            if position + 1 < len(chunk):
-                                # The batch speculated past a spillover round:
-                                # roll the shards back to this step before
-                                # adjusting, discarding the overrun.  Output is
-                                # unchanged — only the speculation is.
-                                executor.rewind(position + 1)
-                                registry = obs.registry()
-                                if registry.enabled:
-                                    registry.counter("fleet.replay.rewinds").inc()
-                            updated, failed = executor.adjust(plan)
-                            executor_seconds += _time.perf_counter() - started
-                            adjusted = True
-                        fleet.commit_spillover(plan, failed)
-                        final = {s.cell: s for s in summaries}
-                        final.update(updated)
-                        ordered = [final[name] for name in fleet.cell_names]
-                        capacity = sum(s.capacity_cpu for s in ordered)
-                        healthy = sum(s.healthy_cpu for s in ordered)
-                        step = FleetReplayStep(
-                            time=time_point,
-                            events=tuple(
-                                f"{cell}:{event.kind}"
-                                for cell in fleet.cell_names
-                                for event in events_by_cell.get(cell, ())
-                            ),
-                            failed_nodes=sum(s.failed_count for s in ordered),
-                            available_fraction=(
-                                healthy / capacity if capacity > 0 else 0.0
-                            ),
-                            availability=fleet_availability(ordered, fleet.spillovers),
-                            revenue=fleet_revenue(ordered),
-                            utilization=fleet_utilization(ordered),
-                            degraded_cells=tuple(
-                                s.cell
-                                for s in ordered
-                                if any(
-                                    not is_clone(app)
-                                    and (s.cell, app) not in fleet.spillovers
-                                    for app, _ in s.missing_critical
-                                )
-                            ),
-                            spillovers_planned=len(plan.assignments) - len(failed),
-                            spillovers_released=len(plan.releases),
-                            spillovers_active=len(fleet.spillovers),
-                            triggered=sum(1 for s in summaries if s.triggered),
-                            actions=sum(s.actions for s in summaries)
-                            + sum(s.actions for s in updated.values()),
+                        metrics.steps.append(
+                            fold_step(fleet, time_point, events_by_cell, summaries, adjust)
                         )
-                        metrics.steps.append(step)
                         if adjusted:
                             consumed = position + 1
                             break

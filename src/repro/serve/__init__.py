@@ -18,7 +18,6 @@ from repro.serve.app import (
     ServeCrash,
     build_fleet,
     event_record,
-    percentiles,
 )
 from repro.serve.http1 import HttpConnection, HttpError
 from repro.serve.loadgen import run_load
@@ -42,7 +41,6 @@ __all__ = [
     "canonical_key",
     "event_record",
     "fleet_digest",
-    "percentiles",
     "resume_control_plane",
     "run_load",
     "state_digest",

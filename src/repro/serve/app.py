@@ -10,17 +10,17 @@ Determinism contract
 --------------------
 The round driver is the **only** coroutine that touches the fleet.  It
 drains the admission batcher (canonical order, see
-:mod:`repro.serve.admission`) and folds each batch exactly the way
-:class:`~repro.fleet.replay.FleetReplayer`'s serial executor folds one
-timeline step: :func:`~repro.fleet.engine.step_cells` → bus emissions →
-``plan_spillover`` → ``apply_spillover`` → ``commit_spillover`` → one
+:mod:`repro.serve.admission`) and folds each batch through the replayer's
+own code: :class:`~repro.fleet.replay.FleetReplayer`'s serial executor
+steps the cells, then :func:`~repro.fleet.replay.fold_step` — the one
+per-step fold every replay runs — builds one
 :class:`~repro.fleet.replay.FleetReplayStep` at ``time = round index``.
 Every admitted batch is also appended to the session recorder, so replaying
 ``recorder.scenario()`` offline through a ``FleetReplayer`` over an
 identically built fleet reproduces the served fleet state (equal
 :func:`~repro.serve.session.fleet_digest`) and the served step records,
-byte for byte.  That equivalence is asserted by the tests and the CI
-serve-smoke job, not just promised here.
+byte for byte: served and replayed sessions run one copy of the fold,
+and the tests and the CI serve-smoke job check the result.
 
 Engine rounds run synchronously inside the driver (single-threaded
 asyncio), so admissions only accumulate *between* rounds — which is what
@@ -38,16 +38,10 @@ from typing import Mapping
 
 from repro import obs
 from repro.fleet.checkpoint import save_checkpoint
-from repro.fleet.engine import FleetEngine, step_cells
-from repro.fleet.events import CellEvent, CellReconciled
-from repro.fleet.replay import FleetReplayStep
-from repro.fleet.summary import (
-    fleet_availability,
-    fleet_revenue,
-    fleet_utilization,
-    is_clone,
-)
-from repro.api.events import EngineEvent, FailureDetected, RecoveryDetected
+from repro.fleet.engine import FleetEngine
+from repro.fleet.events import CellEvent
+from repro.fleet.replay import FleetReplayStep, _LocalExecutor, fold_step
+from repro.api.events import EngineEvent
 from repro.traces.schema import TraceError, parse_event
 
 from repro.serve.admission import AdmissionBatcher, AdmissionFull
@@ -154,26 +148,6 @@ def _jsonable(value):
     return str(value)
 
 
-def percentiles(samples: list[float]) -> dict[str, float]:
-    """p50/p90/p99/p999 by nearest-rank over a sorted copy (stdlib only)."""
-    if not samples:
-        return {}
-    ordered = sorted(samples)
-    last = len(ordered) - 1
-
-    def rank(q: float) -> float:
-        return ordered[min(last, int(q * len(ordered)))]
-
-    return {
-        "p50": rank(0.50),
-        "p90": rank(0.90),
-        "p99": rank(0.99),
-        "p999": rank(0.999),
-        "max": ordered[last],
-        "count": len(ordered),
-    }
-
-
 class ControlPlane:
     """One served fleet: HTTP control surface + admission-batched rounds."""
 
@@ -212,7 +186,12 @@ class ControlPlane:
             metadata={"generator": "serve", "seed": seed},
         )
         self.steps: list[FleetReplayStep] = []
-        self.round_seconds: list[float] = []
+        self._executor = _LocalExecutor(fleet, seed)
+        # Always-on round timer, private to this plane: /metrics and the
+        # dashboard read it whether or not the shared obs plane is enabled.
+        timing = obs.MetricsRegistry()
+        timing.enable()
+        self._round_seconds = timing.histogram("serve.round_seconds")
         self._subscribers: dict[int, asyncio.Queue] = {}
         self._next_subscriber = 0
         self.dropped_events = 0
@@ -318,7 +297,7 @@ class ControlPlane:
                 raise
             self.steps.append(step)
             elapsed = _time.perf_counter() - started
-            self.round_seconds.append(elapsed)
+            self._round_seconds.observe(elapsed)
             registry = obs.registry()
             if registry.enabled:
                 registry.counter("serve.rounds").inc()
@@ -359,71 +338,12 @@ class ControlPlane:
     def _apply_round(
         self, round_index: int, events_by_cell: Mapping[str, list]
     ) -> FleetReplayStep:
-        """One fleet round over one admitted batch — the replayer's serial
-        fold verbatim, with ``time = round index``."""
-        fleet = self.fleet
-        bus = fleet.events
-        summaries = step_cells(
-            fleet.cells,
-            events_by_cell,
-            self.seed,
-            self.force_each_step,
-            with_events=self._with_events,
-        )
-        if bus:
-            for summary in summaries:
-                if summary.failed_nodes:
-                    bus.emit(
-                        CellEvent(summary.cell, FailureDetected(nodes=summary.failed_nodes))
-                    )
-                if summary.recovered_nodes:
-                    bus.emit(
-                        CellEvent(summary.cell, RecoveryDetected(nodes=summary.recovered_nodes))
-                    )
-                bus.emit(
-                    CellReconciled(
-                        cell=summary.cell,
-                        triggered=summary.triggered,
-                        actions=summary.actions,
-                    )
-                )
-        plan = fleet.plan_spillover(summaries)
-        updated: dict = {}
-        failed: list = []
-        if plan:
-            updated, _reports, failed = fleet.apply_spillover(plan)
-        fleet.commit_spillover(plan, failed)
-        final = {s.cell: s for s in summaries}
-        final.update(updated)
-        ordered = [final[name] for name in fleet.cell_names]
-        capacity = sum(s.capacity_cpu for s in ordered)
-        healthy = sum(s.healthy_cpu for s in ordered)
-        return FleetReplayStep(
-            time=float(round_index),
-            events=tuple(
-                f"{cell}:{event.kind}"
-                for cell in fleet.cell_names
-                for event in events_by_cell.get(cell, ())
-            ),
-            failed_nodes=sum(s.failed_count for s in ordered),
-            available_fraction=(healthy / capacity if capacity > 0 else 0.0),
-            availability=fleet_availability(ordered, fleet.spillovers),
-            revenue=fleet_revenue(ordered),
-            utilization=fleet_utilization(ordered),
-            degraded_cells=tuple(
-                s.cell
-                for s in ordered
-                if any(
-                    not is_clone(app) and (s.cell, app) not in fleet.spillovers
-                    for app, _ in s.missing_critical
-                )
-            ),
-            spillovers_planned=len(plan.assignments) - len(failed),
-            spillovers_released=len(plan.releases),
-            spillovers_active=len(fleet.spillovers),
-            triggered=sum(1 for s in summaries if s.triggered),
-            actions=sum(s.actions for s in summaries)
-            + sum(s.actions for s in updated.values()),
+        """One fleet round over one admitted batch: the replayer's serial
+        step and :func:`fold_step`, with ``time = round index``."""
+        executor = self._executor
+        summaries = executor.step(events_by_cell, self.force_each_step, self._with_events)
+        return fold_step(
+            self.fleet, float(round_index), events_by_cell, summaries, executor.adjust
         )
 
     # -- event fan-out ---------------------------------------------------------
@@ -592,7 +512,7 @@ class ControlPlane:
                 "pending": len(self.batcher),
                 "subscribers": len(self._subscribers),
                 "dropped_events": self.dropped_events,
-                "round_seconds": percentiles(self.round_seconds),
+                "round_seconds": self._round_seconds.summary(),
                 "spillovers_active": len(fleet.spillovers),
             }
         if path == "/digest":
@@ -617,7 +537,6 @@ class ControlPlane:
         ``repro_obs_*`` (distinct prefixes, so the two sources can never
         collide on a family name)."""
         core = self._get("/metrics")
-        round_seconds = core["round_seconds"]
         text = obs.render_prometheus(
             counters={
                 f"repro_serve_{key}": core[key]
@@ -627,9 +546,7 @@ class ControlPlane:
                 f"repro_serve_{key}": core[key]
                 for key in ("pending", "subscribers", "spillovers_active")
             },
-            summaries=(
-                {"repro_serve_round_seconds": round_seconds} if round_seconds else None
-            ),
+            summaries={"repro_serve_round_seconds": core["round_seconds"]},
         )
         return text + obs.registry().prometheus_text()
 

@@ -10,9 +10,11 @@ coordinated-omission-free measurement an admission-batcher needs.
 The generated workload is deterministic in the seed: a round-robin walk
 over the fleet's cells toggling node health (every node the generator
 fails, it later recovers — tracked client-side, so served state stays
-bounded), with an occasional ``load_change``.  Latency percentiles are
-nearest-rank (p50/p90/p99/p999) over every admitted mutation; the report
-also snapshots the server's ``/metrics`` for the round-latency view.
+bounded), with an occasional ``load_change``.  Latency quantiles
+(p50/p90/p99/p999) come from one :class:`~repro.obs.metrics.Histogram`
+over every admitted mutation (log buckets, ~19 % resolution; count, sum
+and max exact); the report also snapshots the server's ``/metrics`` for
+the round-latency view.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import random
 import time as _time
 
-from repro.serve.app import percentiles
+from repro.obs import MetricsRegistry
 from repro.serve.http1 import HttpConnection
 
 
@@ -104,7 +106,9 @@ async def run_load(
     interval = 1.0 / rate
 
     due: asyncio.Queue = asyncio.Queue()
-    admission_seconds: list[float] = []
+    latency = MetricsRegistry()
+    latency.enable()
+    admission_seconds = latency.histogram("loadgen.admission_seconds")
     outcomes = {"admitted": 0, "rejected_429": 0, "errors": 0}
 
     async def producer() -> None:
@@ -150,7 +154,7 @@ async def run_load(
                 done = _time.perf_counter()
                 if status == 200:
                     for due_at, _mutation in group:
-                        admission_seconds.append(done - due_at)
+                        admission_seconds.observe(done - due_at)
                     outcomes["admitted"] += len(group)
                 elif status == 429:
                     outcomes["rejected_429"] += len(group)
@@ -178,7 +182,10 @@ async def run_load(
         "seed": seed,
         "admission_seconds": {
             key: (round(value, 6) if isinstance(value, float) else value)
-            for key, value in percentiles(admission_seconds).items()
+            for key, value in (
+                admission_seconds.summary()
+                | {"p999": admission_seconds.quantile(0.999)}
+            ).items()
         },
         "server": {
             "rounds": server_metrics["rounds"],

@@ -6,13 +6,12 @@ is the bridge between that experiment and the generic trace schema:
 
 * :func:`paper_profile_fractions` — the capacity profile of Figure 8a
   (deep trough, staged recovery, jitter), the single source of truth also
-  used by the legacy :class:`repro.adaptlab.replay.CapacityTrace`.
+  used by :func:`repro.adaptlab.replay.replay_capacity_trace`'s default.
 * :func:`paper_capacity_trace` — the same profile as a schema
   :class:`~repro.traces.schema.Trace` of ``capacity`` events.
 * :func:`from_capacity_points` / :func:`to_capacity_points` — lossless
-  conversion between legacy capacity-trace points and schema traces, which
-  is how ``benchmarks/bench_fig8a_replay.py`` runs unchanged through the
-  new trace path.
+  conversion between ``(time, fraction)`` capacity points and schema
+  traces.
 * :func:`alibaba_scenario` — the full Figure-8a-style scenario (capacity
   profile plus a diurnal load overlay derived from the same seed).
 """
@@ -30,9 +29,8 @@ from repro.traces.schema import CapacityTarget, Trace, merge_traces
 def paper_profile_fractions(steps: int = 20, seed: int = 3) -> list[float]:
     """The Figure-8a capacity profile: trough, staged recovery, jitter.
 
-    Returns ``steps`` available-capacity fractions.  This is the exact
-    computation the pre-trace ``CapacityTrace.paper_profile`` performed; it
-    lives here so the legacy class and the schema trace share one source.
+    Returns ``steps`` available-capacity fractions, unrounded;
+    :func:`paper_capacity_trace` rounds them to 6 decimals.
     """
     rng = np.random.default_rng(seed)
     base = np.concatenate(
@@ -64,23 +62,17 @@ def paper_capacity_trace(
 
 
 def from_capacity_points(
-    points: Iterable, metadata: dict[str, object] | None = None
+    points: Iterable[tuple[float, float]], metadata: dict[str, object] | None = None
 ) -> Trace:
-    """Convert legacy capacity points into a schema trace, losslessly.
+    """Convert ``(time, fraction)`` pairs into a schema trace, losslessly.
 
-    Accepts anything iterable over objects with ``time`` and
-    ``available_fraction`` attributes (e.g.
-    :class:`repro.adaptlab.replay.CapacityTracePoint`) or ``(time,
-    fraction)`` pairs.  Fractions are passed through exactly (no rounding),
-    so a converted trace replays byte-identically to the legacy path.
+    Fractions are passed through exactly (no rounding), unlike
+    :func:`~repro.traces.generators.capacity_schedule`.
     """
-    events = []
-    for point in points:
-        if hasattr(point, "available_fraction"):
-            time, fraction = point.time, point.available_fraction
-        else:
-            time, fraction = point
-        events.append(CapacityTarget(time=float(time), available_fraction=float(fraction)))
+    events = [
+        CapacityTarget(time=float(time), available_fraction=float(fraction))
+        for time, fraction in points
+    ]
     if metadata is None:
         metadata = {"generator": "alibaba.from_capacity_points"}
     return Trace(events=events, metadata=metadata).validate()

@@ -15,9 +15,9 @@ Two driver shapes are accepted:
   :class:`~repro.api.events.ReplayStepCompleted` so observers see the
   scenario and the reaction in one stream;
 * a :class:`~repro.adaptlab.baselines.ResilienceScheme` (anything with
-  ``respond``) — AdaptLab semantics, used by the legacy
-  :func:`repro.adaptlab.replay.replay_capacity_trace` shim so the Figure-8a
-  benchmark runs unchanged through this path.
+  ``respond``) — AdaptLab semantics, used by
+  :func:`repro.adaptlab.replay.replay_capacity_trace` for the Figure-8a
+  benchmark.
 
 Metric output is deterministic: :meth:`ReplayMetrics.to_jsonl` excludes
 wall-clock planning times unless asked, so replaying the same trace with

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.adaptlab import (
-    CapacityTrace,
     DefaultScheme,
     FairScheme,
     LPCostScheme,
@@ -24,6 +23,7 @@ from repro.adaptlab import (
     run_failure_sweep,
     summarize,
 )
+from repro.traces import capacity_schedule, paper_capacity_trace, to_capacity_points
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +176,7 @@ class TestHarness:
 
 class TestReplay:
     def test_replay_records_every_step_per_scheme(self, small_environment):
-        trace = CapacityTrace.from_fractions([1.0, 0.5, 1.0])
+        trace = capacity_schedule([1.0, 0.5, 1.0])
         result = replay_capacity_trace(
             small_environment, [PhoenixCostScheme(), DefaultScheme()], trace=trace
         )
@@ -184,16 +184,15 @@ class TestReplay:
         assert len(result.series("default")) == 3
 
     def test_phoenix_serves_at_least_as_many_requests(self, small_environment):
-        trace = CapacityTrace.from_fractions([1.0, 0.6, 0.35, 0.35, 0.7, 1.0])
+        trace = capacity_schedule([1.0, 0.6, 0.35, 0.35, 0.7, 1.0])
         result = replay_capacity_trace(
             small_environment, [PhoenixCostScheme(), DefaultScheme()], trace=trace
         )
         assert result.improvement("phoenix-cost", "default") >= 1.0
 
     def test_paper_profile_shape(self):
-        trace = CapacityTrace.paper_profile(steps=20)
-        fractions = [p.available_fraction for p in trace]
-        assert len(trace) == 20
+        fractions = [f for _, f in to_capacity_points(paper_capacity_trace(steps=20))]
+        assert len(fractions) == 20
         assert min(fractions) < 0.5 < max(fractions)
 
 

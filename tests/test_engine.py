@@ -445,6 +445,21 @@ class TestConstructors:
         assert seconds >= 0
         assert new_state is not state
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PhoenixScheme(RevenueObjective()),
+            lambda: PhoenixScheme(engine=RevenueObjective()),
+            lambda: SchemeAdapter("x"),
+            lambda: SchemeAdapter(None, name="none"),
+        ],
+        ids=["scheme-objective", "scheme-objective-keyword", "adapter-str", "adapter-none"],
+    )
+    def test_adapter_rejects_non_engine_at_construction(self, build):
+        # A wrong argument fails here, not on the first respond().
+        with pytest.raises(TypeError, match="needs a PhoenixEngine"):
+            build()
+
     def test_engine_backed_schemes_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

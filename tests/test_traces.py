@@ -6,7 +6,6 @@ import pytest
 
 import repro.api as api
 from repro.adaptlab import (
-    CapacityTrace,
     DefaultScheme,
     PhoenixCostScheme,
     capacity_failure_trace,
@@ -34,6 +33,7 @@ from repro.traces import (
     from_capacity_points,
     merge_traces,
     paper_capacity_trace,
+    paper_profile_fractions,
     poisson_failures,
     to_capacity_points,
 )
@@ -148,20 +148,14 @@ class TestSchemaValidation:
             LoadChange(time=0.0, multiplier=-0.1).validate()
 
 
-class TestCapacityTraceBridge:
-    def test_to_trace_and_back_is_lossless(self):
-        legacy = CapacityTrace.paper_profile(steps=10)
-        restored = CapacityTrace.from_trace(legacy.to_trace())
-        assert restored.points == legacy.points
-
+class TestCapacityPoints:
     def test_paper_profile_matches_schema_trace(self):
-        legacy = CapacityTrace.paper_profile(steps=12, seed=3)
-        schema = paper_capacity_trace(steps=12, seed=3)
-        schema_points = to_capacity_points(schema)
-        assert len(schema_points) == len(legacy)
-        for (time, fraction), point in zip(schema_points, legacy):
-            assert time == point.time
-            assert fraction == pytest.approx(point.available_fraction, abs=1e-6)
+        fractions = paper_profile_fractions(steps=12, seed=3)
+        schema_points = to_capacity_points(paper_capacity_trace(steps=12, seed=3))
+        assert len(schema_points) == len(fractions)
+        for index, ((time, fraction), exact) in enumerate(zip(schema_points, fractions)):
+            assert time == index * 30.0
+            assert fraction == pytest.approx(exact, abs=1e-6)
 
     def test_from_capacity_points_accepts_pairs(self):
         trace = from_capacity_points([(0.0, 1.0), (30.0, 0.5)])
@@ -190,21 +184,26 @@ class TestFailureTraceProducers:
 
 class TestTraceReplayer:
     def test_legacy_replay_matches_manual_loop(self, small_environment):
-        trace = CapacityTrace.paper_profile(steps=6)
+        trace = paper_capacity_trace(steps=6)
         scheme = PhoenixCostScheme()
         result = replay_capacity_trace(small_environment, [scheme], trace=trace, seed=0)
         series = dict(result.series(scheme.name))
 
         state = small_environment.fresh_state()
-        for point in trace:
-            set_capacity_fraction(state, point.available_fraction, seed=0)
+        for time, fraction in to_capacity_points(trace):
+            set_capacity_fraction(state, fraction, seed=0)
             state, _ = PhoenixCostScheme().respond(state)
             served = requests_served_fraction(state, small_environment.traced)
-            assert series[point.time] == served
+            assert series[time] == served
+
+    def test_default_profile_keeps_unrounded_fractions(self, small_environment):
+        result = replay_capacity_trace(small_environment, [DefaultScheme()])
+        assert [p.available_fraction for p in result.points] == paper_profile_fractions()
+        assert [p.time for p in result.points] == [i * 30.0 for i in range(20)]
 
     def test_respond_mode_for_non_engine_scheme(self, small_environment):
         result = replay_capacity_trace(
-            small_environment, [DefaultScheme()], trace=CapacityTrace.paper_profile(steps=4)
+            small_environment, [DefaultScheme()], trace=paper_capacity_trace(steps=4)
         )
         assert len(result.points) == 4
 

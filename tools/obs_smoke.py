@@ -125,6 +125,7 @@ def main() -> int:
     for family in (
         "repro_serve_rounds_total",
         "repro_serve_pending",
+        "repro_serve_round_seconds",
         "repro_obs_serve_rounds_total",
         "repro_obs_engine_rounds_total",
     ):
